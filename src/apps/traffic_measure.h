@@ -34,7 +34,7 @@ TopKFlows TopKStanding(SubscriptionManager& manager, uint64_t subscription_id);
 
 // getFlows across hosts: distinct (flow, path) pairs traversing `link`,
 // per-host first-appearance order, hosts concatenated in host order —
-// the poll twin of a standing FlowList subscription.
+// the poll of a standing FlowList subscription's spec.
 FlowList FlowsOnLinkAcrossHosts(Controller& controller, const std::vector<HostId>& hosts,
                                 LinkId link, TimeRange range, bool multi_level = false);
 
@@ -50,8 +50,8 @@ uint64_t SubscribeFlowList(SubscriptionManager& manager, const std::vector<HostI
 FlowList FlowListStanding(SubscriptionManager& manager, uint64_t subscription_id);
 
 // getCount across hosts: byte/packet totals of records traversing
-// `link`, summed over hosts — the poll twin of a standing CountSummary
-// subscription.
+// `link`, summed over hosts — the poll of a standing CountSummary
+// subscription's spec.
 CountSummary CountOnLinkAcrossHosts(Controller& controller, const std::vector<HostId>& hosts,
                                     LinkId link, TimeRange range, bool multi_level = false);
 

@@ -43,25 +43,4 @@ void FlowBytesDelta::ApplyTo(FlowBytesMap& acc) const {
   }
 }
 
-void FlowBytesDelta::Merge(const FlowBytesDelta& in) {
-  std::vector<std::pair<FiveTuple, uint64_t>> merged;
-  merged.reserve(items.size() + in.items.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < items.size() && j < in.items.size()) {
-    if (items[i].first == in.items[j].first) {
-      merged.emplace_back(items[i].first, items[i].second + in.items[j].second);
-      ++i;
-      ++j;
-    } else if (items[i].first < in.items[j].first) {
-      merged.push_back(items[i++]);
-    } else {
-      merged.push_back(in.items[j++]);
-    }
-  }
-  merged.insert(merged.end(), items.begin() + std::ptrdiff_t(i), items.end());
-  merged.insert(merged.end(), in.items.begin() + std::ptrdiff_t(j), in.items.end());
-  items = std::move(merged);
-}
-
 }  // namespace pathdump

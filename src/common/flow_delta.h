@@ -26,9 +26,9 @@
 
 namespace pathdump {
 
-// Per-flow byte totals — the shared aggregation behind TopK and
-// FlowSizeDistribution (see Tib::AggregateFlowBytes), and the state a
-// standing subscription materializes per host.
+// Per-flow byte totals — the fold state behind TopK and
+// FlowSizeDistribution, for polls and standing subscriptions alike
+// (src/edge/standing_query.h).
 using FlowBytesMap = std::unordered_map<FiveTuple, uint64_t, FiveTupleHash>;
 
 struct FlowBytesDelta {
@@ -47,16 +47,8 @@ struct FlowBytesDelta {
   static FlowBytesDelta FromShardMaps(std::vector<FlowBytesMap>& shard_maps);
 
   // Folds this delta into an accumulated per-flow map (integer sums; a
-  // zero-byte item still creates its key, matching AggregateFlowBytes).
+  // zero-byte item still creates its key, as the agent-side fold does).
   void ApplyTo(FlowBytesMap& acc) const;
-
-  // Merges `in` into this delta, summing bytes of shared flows; the
-  // result stays sorted.  Merging then serializing must agree with the
-  // per-item size accounting (tests/query_serialization_test.cc).
-  // Forward reference: today only the size-consistency tests call this;
-  // its consumer is cross-epoch delta compaction for slow subscribers
-  // (ROADMAP follow-on under "Standing queries").
-  void Merge(const FlowBytesDelta& in);
 
   friend bool operator==(const FlowBytesDelta&, const FlowBytesDelta&) = default;
 };

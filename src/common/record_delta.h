@@ -10,12 +10,12 @@
 // subscription's filter since the previous boundary, tagged with its
 // global insertion id.
 //
-// The id is the determinism anchor.  The poll path (Tib::FlowsOnLink)
-// dedups (flow, path) pairs and orders them by ascending first insertion
-// id; a controller folding record deltas reproduces that exactly by
-// keeping the minimum id per distinct pair and sorting at
-// materialization.  Items within a delta are kept sorted ascending by id
-// so a delta's wire bytes are a pure function of its contents.
+// The id is the determinism anchor.  getFlows dedups (flow, path) pairs
+// and orders them by ascending first insertion id; a controller folding
+// record deltas through the poll's own fold (RecordFoldState in
+// src/edge/standing_query.h) reproduces that exactly.  Items within a
+// delta are kept sorted ascending by id so a delta's wire bytes are a
+// pure function of its contents.
 //
 // Wire framing follows src/edge/query.cc: a 16-byte message header plus,
 // per item, the 8-byte id, packed 5-tuple (13), byte/packet counts

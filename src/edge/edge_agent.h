@@ -114,11 +114,13 @@ class EdgeAgent {
 
   // --- Host API (Table 1) ---
 
-  // Flows (with paths) traversing `link` during `range`.  Wildcards via
-  // kInvalidNode in either LinkId field.
+  // Flows (with paths) traversing `link` during `range`, in order of
+  // first appearance.  Wildcards via kInvalidNode in either LinkId
+  // field.  A poll of the kFlowList kind (Poll below).
   std::vector<Flow> GetFlows(const LinkId& link, const TimeRange& range) const;
 
-  // Paths taken by `flow` that include `link` during `range`.
+  // Paths taken by `flow` that include `link` during `range`.  A
+  // one-shard by-flow lookup, not a standing kind, so not a Poll.
   std::vector<Path> GetPaths(const FiveTuple& flow, const LinkId& link,
                              const TimeRange& range) const;
 
@@ -155,29 +157,31 @@ class EdgeAgent {
   void RaiseAlarm(const FiveTuple& flow, AlarmReason reason, std::vector<Path> paths,
                   SimTime now);
 
-  // --- Canned queries used by applications and benches ---
+  // --- Polls of the standing kinds (src/edge/standing_query.h) ---
 
-  // Histogram of per-flow byte counts over flows traversing `link`.  Both
-  // canned queries share Tib::AggregateFlowBytes, the shard-parallel
-  // per-flow byte aggregation.
+  // Evaluates `spec` over the TIB's retained records with the standing
+  // path's filter, fold and materialize (PollTib): a shard-parallel scan
+  // under shared shard locks, byte-identical at any shard/worker count
+  // and to a subscription's materialized result over the same records.
+  QueryResult Poll(const StandingQuerySpec& spec) const { return PollTib(tib_, spec); }
+
+  // The named polls, one-line forwards to Poll.  Histogram of per-flow
+  // byte counts over flows traversing `link` (§2.3 load imbalance).
   FlowSizeHistogram FlowSizeDistribution(const LinkId& link, const TimeRange& range,
                                          int64_t bin_width = 10000) const;
   // Top-k flows by bytes within `range`.
   TopKFlows TopK(size_t k, const TimeRange& range) const;
   // Byte/packet totals over records whose path matches `link` within
-  // `range` — the per-host poll twin of a standing CountSummary
-  // subscription (Tib::CountOnLink; shard-parallel, deterministic).
-  CountSummary CountOnLink(const LinkId& link, const TimeRange& range) const {
-    return tib_.CountOnLink(link, range);
-  }
+  // `range` (the per-host getCount aggregate).
+  CountSummary CountOnLink(const LinkId& link, const TimeRange& range) const;
 
   // --- Wiring ---
 
   void SetAlarmHandler(AlarmHandler handler) { alarm_handler_ = std::move(handler); }
 
-  // Non-owning pool for shard-parallel TIB scans (TopK,
-  // FlowSizeDistribution, getFlows, RecordsOnLink); nullptr reverts to
-  // sequential scans.  Results are byte-identical either way.
+  // Non-owning pool for shard-parallel TIB scans (Poll and its named
+  // forwards, RecordsOnLink); nullptr reverts to sequential scans.
+  // Results are byte-identical either way.
   void SetQueryThreadPool(ThreadPool* pool) { tib_.SetScanPool(pool); }
 
   int AddRecordHook(RecordHook hook);
@@ -197,9 +201,9 @@ class EdgeAgent {
 
   // --- Standing queries (src/edge/standing_query.h) ---
   //
-  // A registered standing query accumulates per-flow byte increments
-  // inside Tib::Insert (under the owning shard's lock) and, on an epoch
-  // tick, ships only the increment: the delta is merged with the
+  // A registered standing query folds matching records inside
+  // Tib::Insert (under the owning shard's lock) and, on an epoch tick,
+  // ships only the increment: the delta is merged with the
   // deterministic ordered reduce, epoch-stamped, and handed to `sink`
   // (normally the controller's SubscriptionManager intake).  The sink
   // runs on the ticking thread with no agent lock held; it may be

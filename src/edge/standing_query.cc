@@ -8,22 +8,11 @@
 
 namespace pathdump {
 
-namespace {
-
-// The shared dedup key of Tib::FlowsOnLink — the one CompactPath::HashKey
-// definition, applied to the decoded path (lossless: delta paths come
-// from CompactPath::ToPath, so they round-trip within kMaxSwitches).
-uint64_t FlowPathHashKey(const FiveTuple& flow, const Path& path) {
-  return CompactPath::FromPath(path).HashKey(FiveTupleHash{}(flow));
-}
-
-}  // namespace
-
 QueryResult MaterializeStandingResult(const StandingQuerySpec& spec,
                                       const FlowBytesMap& per_flow) {
-  // These two bodies mirror EdgeAgent::TopK and FlowSizeDistribution
-  // exactly — the byte-identity contract depends on it.
   if (spec.kind == StandingQuerySpec::Kind::kTopK) {
+    // Finalize() imposes a total order, so the result does not depend on
+    // the map's iteration order.
     TopKFlows out;
     out.k = spec.k;
     out.items.reserve(per_flow.size());
@@ -41,34 +30,24 @@ QueryResult MaterializeStandingResult(const StandingQuerySpec& spec,
   return h;
 }
 
-void RecordFoldState::Fold(const StandingQuerySpec& spec, const RecordDelta& delta) {
-  if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
-    // Every record is shipped exactly once (it lands in exactly one
-    // epoch snapshot), so folding is a plain commutative sum.
-    for (const RecordDeltaItem& item : delta.items) {
-      count.bytes += item.bytes;
-      count.pkts += item.pkts;
+void RecordFoldState::AddFlowItem(uint64_t id, const FiveTuple& flow, const CompactPath& path) {
+  std::vector<size_t>& bucket = seen[path.HashKey(FiveTupleHash{}(flow))];
+  for (size_t idx : bucket) {
+    FlowItem& existing = flow_items[idx];
+    if (existing.flow == flow && existing.path == path) {
+      existing.id = std::min(existing.id, id);
+      return;
     }
-    return;
   }
-  // kFlowList: first-occurrence dedup of (flow, path), keeping the
-  // smallest insertion id — Tib::FlowsOnLink replayed incrementally.
+  bucket.push_back(flow_items.size());
+  flow_items.push_back(FlowItem{id, flow, path});
+}
+
+void RecordFoldState::Fold(const StandingQuerySpec& spec, const RecordDelta& delta) {
+  // Shipped paths come from CompactPath::ToPath (and the wire decoder
+  // rejects longer ones), so FromPath is lossless here.
   for (const RecordDeltaItem& item : delta.items) {
-    uint64_t key = FlowPathHashKey(item.flow, item.path);
-    std::vector<size_t>& bucket = seen[key];
-    bool dup = false;
-    for (size_t idx : bucket) {
-      RecordDeltaItem& existing = flow_items[idx];
-      if (existing.flow == item.flow && existing.path == item.path) {
-        existing.id = std::min(existing.id, item.id);
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      bucket.push_back(flow_items.size());
-      flow_items.push_back(item);
-    }
+    Add(spec, item.id, item.flow, CompactPath::FromPath(item.path), item.bytes, item.pkts);
   }
 }
 
@@ -77,30 +56,70 @@ QueryResult MaterializeStandingRecords(const StandingQuerySpec& spec,
   if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
     return state.count;
   }
-  // First-appearance order across the whole TIB = ascending first id —
-  // the exact ordering Tib::FlowsOnLink produces.
-  std::vector<const RecordDeltaItem*> ordered;
+  // First-appearance order across the whole TIB = ascending first id.
+  using FlowItem = RecordFoldState::FlowItem;
+  std::vector<const FlowItem*> ordered;
   ordered.reserve(state.flow_items.size());
-  for (const RecordDeltaItem& item : state.flow_items) {
+  for (const FlowItem& item : state.flow_items) {
     ordered.push_back(&item);
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const RecordDeltaItem* a, const RecordDeltaItem* b) { return a->id < b->id; });
+            [](const FlowItem* a, const FlowItem* b) { return a->id < b->id; });
   FlowList out;
   out.flows.reserve(ordered.size());
-  for (const RecordDeltaItem* item : ordered) {
-    out.flows.push_back(Flow{item->flow, item->path});
+  for (const FlowItem* item : ordered) {
+    out.flows.push_back(Flow{item->flow, item->path.ToPath()});
   }
   return out;
 }
 
+QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec) {
+  if (spec.IsRecordKind()) {
+    std::vector<RecordFoldState> shards = tib.CollectShardPartials<RecordFoldState>(
+        [&spec](RecordFoldState& state, uint64_t id, const TibRecord& rec) {
+          if (spec.Matches(rec)) {
+            state.Add(spec, id, rec.flow, rec.path, rec.bytes, rec.pkts);
+          }
+        });
+    // Duplicates of a (flow, path) pair share a shard, so per-shard
+    // dedup is complete and the merge concatenates.  `seen` stays empty:
+    // materialization does not read it.
+    size_t total = 0;
+    for (const RecordFoldState& state : shards) {
+      total += state.flow_items.size();
+    }
+    RecordFoldState merged;
+    merged.flow_items.reserve(total);
+    for (const RecordFoldState& state : shards) {
+      merged.flow_items.insert(merged.flow_items.end(), state.flow_items.begin(),
+                               state.flow_items.end());
+      merged.count.bytes += state.count.bytes;
+      merged.count.pkts += state.count.pkts;
+    }
+    return MaterializeStandingRecords(spec, merged);
+  }
+  std::vector<FlowBytesMap> shards = tib.CollectShardPartials<FlowBytesMap>(
+      [&spec](FlowBytesMap& per_flow, uint64_t, const TibRecord& rec) {
+        if (spec.Matches(rec)) {
+          FoldFlowBytes(per_flow, rec);
+        }
+      });
+  // Each flow hashes to exactly one shard: the maps are key-disjoint.
+  size_t total = 0;
+  for (const FlowBytesMap& m : shards) {
+    total += m.size();
+  }
+  FlowBytesMap merged;
+  merged.reserve(total);
+  for (const FlowBytesMap& m : shards) {
+    merged.insert(m.begin(), m.end());
+  }
+  return MaterializeStandingResult(spec, merged);
+}
+
 StandingQueryAccumulator::StandingQueryAccumulator(uint64_t subscription_id, HostId host,
                                                    const StandingQuerySpec& spec, Tib* tib)
-    : subscription_id_(subscription_id),
-      host_(host),
-      spec_(spec),
-      match_all_links_(spec.link.src == kInvalidNode && spec.link.dst == kInvalidNode),
-      tib_(tib) {
+    : subscription_id_(subscription_id), host_(host), spec_(spec), tib_(tib) {
   if (spec_.IsRecordKind()) {
     record_partial_.resize(tib->shard_count());
   } else {
@@ -118,32 +137,70 @@ StandingQueryAccumulator::~StandingQueryAccumulator() {
   tib_->RemoveInsertHook(hook_id_);
 }
 
-bool StandingQueryAccumulator::Matches(const TibRecord& rec) const {
-  // Same record filter as the poll twins (Tib::AggregateFlowBytes /
-  // FlowsOnLink / CountOnLink) — including creating the key for a
-  // zero-byte record (the poll path does too).
-  if (!rec.Overlaps(spec_.range)) {
-    return false;
-  }
-  if (!match_all_links_ && !rec.path.MatchesLinkQuery(spec_.link)) {
-    return false;
-  }
-  return true;
+void StandingQueryAccumulator::Accumulate(FlowBytesMap& partial, uint64_t,
+                                          const TibRecord& rec) {
+  FoldFlowBytes(partial, rec);
+}
+
+void StandingQueryAccumulator::Accumulate(std::vector<CompactRecordEntry>& partial,
+                                          uint64_t record_id, const TibRecord& rec) {
+  // Buffered in the stored compact form — no decode and no per-path
+  // allocation while the exclusive shard lock is held.
+  partial.push_back(CompactRecordEntry{record_id, rec.flow, rec.path, rec.bytes, rec.pkts});
 }
 
 void StandingQueryAccumulator::OnInsert(size_t shard_index, uint64_t record_id,
                                         const TibRecord& rec) {
-  if (!Matches(rec)) {
+  if (!spec_.Matches(rec)) {
     return;
   }
   if (spec_.IsRecordKind()) {
-    // The path is buffered in its stored compact form — no decode and no
-    // per-path allocation while the exclusive shard lock is held.
-    record_partial_[shard_index].push_back(
-        CompactRecordEntry{record_id, rec.flow, rec.path, rec.bytes, rec.pkts});
-    return;
+    Accumulate(record_partial_[shard_index], record_id, rec);
+  } else {
+    Accumulate(partial_[shard_index], record_id, rec);
   }
-  partial_[shard_index][rec.flow] += rec.bytes;
+}
+
+template <typename Partial>
+std::vector<Partial> StandingQueryAccumulator::DrainShards(std::vector<Partial>& partials,
+                                                           bool rescan) {
+  std::vector<Partial> out(partials.size());
+  if (!rescan) {
+    tib_->ForEachShardExclusive([&](size_t si) { out[si].swap(partials[si]); });
+    return out;
+  }
+  tib_->ForEachShardRecordExclusive(
+      [&](size_t si) { partials[si].clear(); },
+      [&](size_t si, uint64_t record_id, const TibRecord& rec) {
+        if (spec_.Matches(rec)) {
+          Accumulate(out[si], record_id, rec);
+        }
+      });
+  return out;
+}
+
+QueryDelta StandingQueryAccumulator::Drain(bool rescan) {
+  QueryDelta delta;
+  delta.subscription_id = subscription_id_;
+  delta.host = host_;
+  delta.kind = spec_.kind;
+  if (!spec_.IsRecordKind()) {
+    std::vector<FlowBytesMap> shards = DrainShards(partial_, rescan);
+    delta.payload = FlowBytesDelta::FromShardMaps(shards);
+    return delta;
+  }
+  std::vector<std::vector<CompactRecordEntry>> shards = DrainShards(record_partial_, rescan);
+  // Decode paths here, with no lock held — once per shipped record,
+  // never inside Insert.
+  std::vector<std::vector<RecordDeltaItem>> decoded(shards.size());
+  for (size_t si = 0; si < shards.size(); ++si) {
+    decoded[si].reserve(shards[si].size());
+    for (const CompactRecordEntry& e : shards[si]) {
+      decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
+    }
+  }
+  delta.records = RecordDelta::FromShardBuffers(decoded);
+  return delta;
 }
 
 std::optional<QueryDelta> StandingQueryAccumulator::TakeDelta() {
@@ -161,34 +218,13 @@ std::optional<QueryDelta> StandingQueryAccumulator::TakeDelta() {
   const uint64_t t0 = Tracer::Global().NowUs();
 
   std::lock_guard<std::mutex> tick(tick_mu_);
-  QueryDelta delta;
-  if (spec_.IsRecordKind()) {
-    std::vector<std::vector<CompactRecordEntry>> snapshot(record_partial_.size());
-    tib_->ForEachShardExclusive([&](size_t si) { snapshot[si].swap(record_partial_[si]); });
-    // Decode paths here, on the ticking thread with no lock held —
-    // once per shipped record, never inside Insert.
-    std::vector<std::vector<RecordDeltaItem>> decoded(snapshot.size());
-    for (size_t si = 0; si < snapshot.size(); ++si) {
-      decoded[si].reserve(snapshot[si].size());
-      for (const CompactRecordEntry& e : snapshot[si]) {
-        decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
-      }
-    }
-    delta.records = RecordDelta::FromShardBuffers(decoded);
-  } else {
-    std::vector<FlowBytesMap> snapshot(partial_.size());
-    tib_->ForEachShardExclusive([&](size_t si) { snapshot[si].swap(partial_[si]); });
-    delta.payload = FlowBytesDelta::FromShardMaps(snapshot);
-  }
+  QueryDelta delta = Drain(/*rescan=*/false);
   const bool empty = spec_.IsRecordKind() ? delta.records.empty() : delta.payload.empty();
   if (empty) {
     empty_ticks->Add();
     Tracer::Global().Record("standing.take_delta", t0, Tracer::Global().NowUs() - t0, keys);
     return std::nullopt;
   }
-  delta.subscription_id = subscription_id_;
-  delta.host = host_;
-  delta.kind = spec_.kind;
   delta.epoch = next_epoch_++;
 
   keys.epoch = delta.epoch;
@@ -208,43 +244,8 @@ QueryDelta StandingQueryAccumulator::TakeSnapshot() {
   const uint64_t t0 = Tracer::Global().NowUs();
 
   std::lock_guard<std::mutex> tick(tick_mu_);
-  QueryDelta delta;
+  QueryDelta delta = Drain(/*rescan=*/true);
   delta.snapshot = true;
-  if (spec_.IsRecordKind()) {
-    std::vector<std::vector<CompactRecordEntry>> snapshot(record_partial_.size());
-    tib_->ForEachShardRecordExclusive(
-        [&](size_t si) { record_partial_[si].clear(); },
-        [&](size_t si, uint64_t record_id, const TibRecord& rec) {
-          if (!Matches(rec)) {
-            return;
-          }
-          snapshot[si].push_back(
-              CompactRecordEntry{record_id, rec.flow, rec.path, rec.bytes, rec.pkts});
-        });
-    // Decode outside the shard locks, exactly like TakeDelta.
-    std::vector<std::vector<RecordDeltaItem>> decoded(snapshot.size());
-    for (size_t si = 0; si < snapshot.size(); ++si) {
-      decoded[si].reserve(snapshot[si].size());
-      for (const CompactRecordEntry& e : snapshot[si]) {
-        decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
-      }
-    }
-    delta.records = RecordDelta::FromShardBuffers(decoded);
-  } else {
-    std::vector<FlowBytesMap> snapshot(partial_.size());
-    tib_->ForEachShardRecordExclusive(
-        [&](size_t si) { partial_[si].clear(); },
-        [&](size_t si, uint64_t, const TibRecord& rec) {
-          if (!Matches(rec)) {
-            return;
-          }
-          snapshot[si][rec.flow] += rec.bytes;
-        });
-    delta.payload = FlowBytesDelta::FromShardMaps(snapshot);
-  }
-  delta.subscription_id = subscription_id_;
-  delta.host = host_;
-  delta.kind = spec_.kind;
   // Snapshots always consume an epoch number — even empty ones ship, so
   // the receiver can re-anchor its next_epoch at snapshot + 1.
   delta.epoch = next_epoch_++;

@@ -1,40 +1,44 @@
-// Standing queries: incremental edge-side evaluation with epoch deltas.
+// Standing queries and polls: one query kernel, two schedules.
 //
 // The paper's recurring debugging applications (traffic measurement,
 // load imbalance) re-poll the fleet, and every poll re-scans the full
 // TIB — O(records) per poll even when almost nothing changed.  A
-// standing query inverts that: the agent evaluates incrementally at
-// insert time and, on an epoch tick, ships only what changed.
+// standing query evaluates the same StandingQuerySpec incrementally: the
+// agent folds each record at insert time and, on an epoch tick, ships
+// only what changed.  Both schedules run one kernel:
 //
-//   Tib::Insert ──(insert hook, under the shard lock)──▶ per-shard
-//   partial ──(epoch tick: swap + reset, one shard lock at a time)──▶
-//   deterministic ordered reduce ──▶ epoch-stamped QueryDelta ──▶
-//   controller subscription channel (src/controller/subscription.h).
+//  * filter — StandingQuerySpec::Matches (range overlap + link match);
+//  * fold   — per-flow sums (FoldFlowBytes) for kTopK and
+//             kFlowSizeHistogram, per-record dedup/sums
+//             (RecordFoldState::Add) for kFlowList and kCountSummary;
+//  * materialize — MaterializeStandingResult / MaterializeStandingRecords.
 //
-// Two delta shapes serve the four standing kinds:
-//  * Per-flow sums (FlowBytesDelta, src/common/flow_delta.h): TopK and
-//    FlowSizeHistogram both reduce to per-flow byte totals, so their
-//    per-shard partial is a FlowBytesMap and materialization is a pure
-//    function of the accumulated map — MaterializeStandingResult
-//    reproduces EdgeAgent::TopK / FlowSizeDistribution byte for byte.
-//  * Per-record lists (RecordDelta, src/common/record_delta.h): FlowList
-//    and CountSummary need the records themselves, so their per-shard
-//    partial is an append buffer of (id, flow, path, bytes, pkts) items;
-//    the epoch tick swaps the buffers and canonicalizes by ascending
-//    insertion id.  The controller folds them through RecordFoldState
-//    and MaterializeStandingRecords reproduces FlowList{GetFlows} /
-//    Tib::CountOnLink byte for byte — the id-ordered first-appearance
-//    dedup of Tib::FlowsOnLink, replayed incrementally.
+//   standing: Tib::Insert ──(insert hook, under the shard lock)──▶
+//     per-shard partial ──(epoch tick: swap + reset, one shard lock at a
+//     time)──▶ epoch-stamped QueryDelta ──▶ controller fold (RecordFoldState
+//     / FlowBytesDelta::ApplyTo) ──▶ materialize
+//     (src/controller/subscription.h).
+//   poll: PollTib ──(shard-parallel scan under shared shard locks, every
+//     retained record filtered + folded)──▶ per-shard states ──(key-
+//     disjoint: concatenate or sum)──▶ materialize.
+//
+// Two delta shapes carry the standing increments: per-flow sums
+// (FlowBytesDelta, src/common/flow_delta.h) and per-record lists
+// (RecordDelta, src/common/record_delta.h) tagged with global insertion
+// ids, so the controller's fold replays the poll's first-appearance
+// order exactly.
 //
 // Determinism contract: at any epoch boundary, folding every delta
-// shipped so far equals a fresh poll over the same records — at any
-// shard count and any scan-worker count (tests/standing_query_test.cc).
+// shipped so far equals a poll over the same records — at any shard
+// count and any scan-worker count (tests/standing_query_test.cc).
 //
 // Locking: partial updates ride the shard lock Tib::Insert already
 // holds; the epoch snapshot takes one shard lock at a time
-// (Tib::ForEachShardExclusive).  No new lock hierarchy — the only
-// accumulator-private lock is a tick mutex serializing epoch snapshots
-// against each other, taken before any shard lock.
+// (Tib::ForEachShardExclusive); a poll holds one shared shard lock per
+// scan task (Tib::CollectShardPartials), so ingest into other shards
+// proceeds.  The only accumulator-private lock is a tick mutex
+// serializing epoch snapshots against each other, taken before any
+// shard lock.
 
 #ifndef PATHDUMP_SRC_EDGE_STANDING_QUERY_H_
 #define PATHDUMP_SRC_EDGE_STANDING_QUERY_H_
@@ -53,9 +57,9 @@
 
 namespace pathdump {
 
-// What a subscription computes.  The same spec installs on every agent
-// of the subscription; the controller materializes per host and merges
-// in host order — exactly the poll path's shape.
+// What a poll or a subscription computes.  A subscription installs the
+// same spec on every agent; the controller materializes per host and
+// merges in host order — exactly a poll Execute's shape.
 struct StandingQuerySpec {
   enum class Kind : uint8_t {
     kTopK = 0,               // per-flow sums -> TopKFlows
@@ -69,16 +73,26 @@ struct StandingQuerySpec {
   size_t k = 0;
   // kFlowSizeHistogram: histogram bin width.
   int64_t bin_width = 10000;
-  // Record filter, identical to Tib::AggregateFlowBytes: a wildcardable
-  // link the record's path must match (TopK uses (<*, *>)) ...
+  // Record filter: a wildcardable link the record's path must match
+  // (TopK uses (<*, *>)) ...
   LinkId link{kInvalidNode, kInvalidNode};
-  // ... and a time range the record must overlap.  Records are filtered
-  // once, at insert; a standing range is normally open-ended.
+  // ... and a time range the record must overlap.  A standing query
+  // filters once, at insert; a standing range is normally open-ended.
   TimeRange range = TimeRange::All();
 
-  // True for the kinds whose deltas carry records, not per-flow sums.
-  bool IsRecordKind() const {
-    return kind == Kind::kFlowList || kind == Kind::kCountSummary;
+  // True for the kinds whose deltas carry records, not per-flow sums —
+  // one definition for the accumulator, the controller fold and the
+  // wire decoder.
+  static constexpr bool IsRecordKind(Kind of) {
+    return of == Kind::kFlowList || of == Kind::kCountSummary;
+  }
+  bool IsRecordKind() const { return IsRecordKind(kind); }
+
+  // The record filter of every evaluation — insert hook, resync
+  // snapshot and poll scan — so they can never disagree about which
+  // records belong to the query.
+  bool Matches(const TibRecord& rec) const {
+    return rec.Overlaps(range) && rec.path.MatchesLinkQuery(link);
   }
 
   friend bool operator==(const StandingQuerySpec&, const StandingQuerySpec&) = default;
@@ -123,42 +137,79 @@ struct QueryDelta {
   friend bool operator==(const QueryDelta&, const QueryDelta&) = default;
 };
 
-// Materializes the standing result for one host from its accumulated
-// per-flow byte totals (kTopK / kFlowSizeHistogram) — byte-identical to
-// what the poll path computes from Tib::AggregateFlowBytes
-// (EdgeAgent::TopK / FlowSizeDistribution).
+// The per-flow fold (kTopK / kFlowSizeHistogram): a matching record adds
+// its bytes to its flow's total, creating the key even for a zero-byte
+// record.  The insert hook, the resync snapshot and the poll scan all
+// fold through it.
+inline void FoldFlowBytes(FlowBytesMap& per_flow, const TibRecord& rec) {
+  per_flow[rec.flow] += rec.bytes;
+}
+
+// Materializes one host's kTopK / kFlowSizeHistogram result from its
+// per-flow byte totals (a poll's scan or a subscription's folded deltas).
 QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FlowBytesMap& per_flow);
 
-// Controller-side fold state for the per-record kinds: the incremental
-// twin of Tib::FlowsOnLink's dedup (kFlowList) and Tib::CountOnLink's
-// sums (kCountSummary).  Fold() applies one epoch's RecordDelta; items
-// arrive id-sorted within a delta and deltas fold in epoch order, so the
-// first occurrence of a (flow, path) pair carries its minimum id (a
-// pair's duplicates always share a TIB shard, and per-shard ids ascend
-// across epochs) — Fold still keeps the minimum defensively.
+// Fold state for the record kinds: kFlowList keeps the distinct
+// (flow, path) pairs with the smallest insertion id seen, kCountSummary
+// the byte/packet sums.  A poll folds a shard's records in ascending id
+// order, and a controller folds deltas in epoch order with items
+// id-sorted, so the first occurrence of a pair normally carries its
+// minimum id — Add still keeps the minimum defensively.
 struct RecordFoldState {
-  // Distinct (flow, path) items, each holding the smallest id seen.
-  // Append-ordered; materialization sorts by id.
-  std::vector<RecordDeltaItem> flow_items;
-  // Dedup index: path-hash-seeded-by-flow -> indices into flow_items.
+  struct FlowItem {
+    uint64_t id = 0;
+    FiveTuple flow;
+    CompactPath path;
+  };
+  // Distinct (flow, path) items, append-ordered; materialization sorts
+  // by id.
+  std::vector<FlowItem> flow_items;
+  // Dedup index: path hash seeded by flow -> indices into flow_items.
   // The hash only buckets; equality is exact, so a 64-bit collision
-  // cannot change the answer (mirrors Tib::FlowsOnLink).
+  // cannot change the answer.
   std::unordered_map<uint64_t, std::vector<size_t>> seen;
   CountSummary count;
 
+  // Folds one matching record — the single entry point of the poll scan
+  // and of Fold.  Inline: a count poll runs it once per matching record.
+  void Add(const StandingQuerySpec& spec, uint64_t id, const FiveTuple& flow,
+           const CompactPath& path, uint64_t bytes, uint32_t pkts) {
+    if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
+      // Every record is folded exactly once (a poll scans it once; a
+      // delta ships it in exactly one epoch), so this is a commutative sum.
+      count.bytes += bytes;
+      count.pkts += pkts;
+      return;
+    }
+    AddFlowItem(id, flow, path);
+  }
+  // Folds one epoch's RecordDelta (every item, through Add).
   void Fold(const StandingQuerySpec& spec, const RecordDelta& delta);
+
+ private:
+  // kFlowList: first-occurrence dedup of (flow, path), keeping the
+  // smallest insertion id.
+  void AddFlowItem(uint64_t id, const FiveTuple& flow, const CompactPath& path);
 };
 
-// Materializes the standing result for one host from folded records
-// (kFlowList / kCountSummary) — byte-identical to what the poll path
-// computes (FlowList{EdgeAgent::GetFlows} / EdgeAgent::CountOnLink).
+// Materializes one host's kFlowList / kCountSummary result from its fold
+// state (reads flow_items and count only).
 QueryResult MaterializeStandingRecords(const StandingQuerySpec& spec,
                                        const RecordFoldState& state);
 
+// A poll: evaluates `spec` over the TIB's retained records.  One scan
+// task per shard (on the TIB's scan pool when set) filters and folds
+// under that shard's shared lock; a flow picks its shard, so the
+// per-shard states are key-disjoint and merge by concatenation or
+// summation before the shared materialize.  Byte-identical at any shard
+// and worker count, and to a subscription's materialized result over the
+// same records.
+QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec);
+
 // The per-agent accumulator: one partial per TIB shard (a FlowBytesMap
-// for the per-flow kinds, an append buffer of RecordDeltaItems for the
-// record kinds), updated by a Tib insert hook under that shard's lock,
-// drained by TakeDelta on epoch ticks.  Construction installs the hook;
+// for the per-flow kinds, an append buffer of records for the record
+// kinds), updated by a Tib insert hook under that shard's lock, drained
+// by TakeDelta on epoch ticks.  Construction installs the hook;
 // destruction removes it (after which no update is running — the Tib
 // guarantees removal synchronizes with every in-flight Insert).
 class StandingQueryAccumulator {
@@ -179,7 +230,7 @@ class StandingQueryAccumulator {
   // Resync: one full epoch-boundary snapshot of the standing state.
   // Under each shard's exclusive lock the pending partial is discarded
   // and the shard's stored records are re-scanned through the same
-  // filter OnInsert applies, so the result equals "all matching records
+  // filter and fold OnInsert applies, so the result equals "all matching records
   // inserted so far" — records inserted before a shard's visit are in
   // its scan, records inserted after land in the freshly-cleared partial
   // and ship with the NEXT delta; nothing is counted twice or dropped.
@@ -200,23 +251,10 @@ class StandingQueryAccumulator {
   const StandingQuerySpec& spec() const { return spec_; }
 
  private:
-  // Runs under the owning shard's lock, inside Tib::Insert.
-  void OnInsert(size_t shard_index, uint64_t record_id, const TibRecord& rec);
-  // The record filter OnInsert and TakeSnapshot share (range overlap +
-  // link match) — one definition so a snapshot can never disagree with
-  // the increments about which records belong to the subscription.
-  bool Matches(const TibRecord& rec) const;
-
-  const uint64_t subscription_id_;
-  const HostId host_;
-  const StandingQuerySpec spec_;
-  const bool match_all_links_;
-  Tib* const tib_;
-  int hook_id_ = -1;
   // Per-shard buffer entry for the record kinds: the path stays in its
   // stored CompactPath form so the insert hook does no decoding (and no
-  // per-path allocation) under the shard lock; TakeDelta decodes once
-  // per shipped record, outside the insert path.
+  // per-path allocation) under the shard lock; Drain decodes once per
+  // shipped record, outside the insert path.
   struct CompactRecordEntry {
     uint64_t id;
     FiveTuple flow;
@@ -224,6 +262,28 @@ class StandingQueryAccumulator {
     uint64_t bytes;
     uint32_t pkts;
   };
+
+  // Runs under the owning shard's lock, inside Tib::Insert.
+  void OnInsert(size_t shard_index, uint64_t record_id, const TibRecord& rec);
+  // Folds one matching record into a per-shard partial of either shape.
+  static void Accumulate(FlowBytesMap& partial, uint64_t record_id, const TibRecord& rec);
+  static void Accumulate(std::vector<CompactRecordEntry>& partial, uint64_t record_id,
+                         const TibRecord& rec);
+  // Takes every shard's partial under that shard's exclusive lock, one
+  // shard at a time: swapped out as is (rescan = false, TakeDelta), or
+  // discarded and re-derived from the shard's stored records through
+  // the same filter and fold (rescan = true, TakeSnapshot).
+  template <typename Partial>
+  std::vector<Partial> DrainShards(std::vector<Partial>& partials, bool rescan);
+  // DrainShards canonicalized into a delta stamped with subscription,
+  // host and kind (not epoch).  Caller holds tick_mu_.
+  QueryDelta Drain(bool rescan);
+
+  const uint64_t subscription_id_;
+  const HostId host_;
+  const StandingQuerySpec spec_;
+  Tib* const tib_;
+  int hook_id_ = -1;
 
   // partial_[s] / record_partial_[s] are guarded by TIB shard s's lock
   // (writes from OnInsert and swaps from TakeDelta both hold it).  Only

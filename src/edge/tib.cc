@@ -97,41 +97,6 @@ bool CompactPath::ContainsSwitch(SwitchId s) const {
   return false;
 }
 
-bool CompactPath::ContainsDirectedLink(NodeId a, NodeId b) const {
-  for (int i = 0; i + 1 < len; ++i) {
-    if (sw[size_t(i)] == a && sw[size_t(i) + 1] == b) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool CompactPath::MatchesLinkQuery(const LinkId& q) const {
-  bool src_any = q.src == kInvalidNode;
-  bool dst_any = q.dst == kInvalidNode;
-  if (src_any && dst_any) {
-    return true;
-  }
-  if (src_any) {
-    // (<?, Sj>): any link entering q.dst — q.dst appears with a predecessor.
-    for (int i = 1; i < len; ++i) {
-      if (sw[size_t(i)] == q.dst) {
-        return true;
-      }
-    }
-    return false;
-  }
-  if (dst_any) {
-    for (int i = 0; i + 1 < len; ++i) {
-      if (sw[size_t(i)] == q.src) {
-        return true;
-      }
-    }
-    return false;
-  }
-  return ContainsDirectedLink(q.src, q.dst);
-}
-
 Tib::Tib(TibOptions options) : options_(options) {
   shards_.resize(ResolveShardCount(options_.num_shards));
   for (auto& s : shards_) {
@@ -145,8 +110,7 @@ Tib::~Tib() {
   ResidentGauge()->Add(-int64_t(resident_bytes_.load(std::memory_order_acquire)));
 }
 
-template <typename PerShard>
-void Tib::ForEachShardParallel(PerShard&& fn) const {
+void Tib::ForEachShardParallel(const std::function<void(size_t)>& fn) const {
   ThreadPool* pool = scan_pool_.load(std::memory_order_acquire);
   size_t n = shards_.size();
   if (pool == nullptr || pool->worker_count() <= 1 || n <= 1) {
@@ -155,38 +119,8 @@ void Tib::ForEachShardParallel(PerShard&& fn) const {
     }
     return;
   }
-  pool->ParallelFor(n, [&fn](size_t i) { fn(i); });
+  pool->ParallelFor(n, fn);
 }
-
-template <typename Acc, typename Fill>
-std::vector<Acc> Tib::CollectShardPartials(Fill&& fill) const {
-  std::vector<Acc> partial(shards_.size());
-  ForEachShardParallel([&](size_t si) {
-    const Shard& s = *shards_[si];
-    std::shared_lock<std::shared_mutex> lock(s.mu);
-    fill(partial[si], s);
-  });
-  return partial;
-}
-
-namespace {
-
-// Flattens per-shard partial vectors, reserving the exact total.
-template <typename T>
-std::vector<T> ConcatPartials(const std::vector<std::vector<T>>& partial) {
-  size_t total = 0;
-  for (const auto& p : partial) {
-    total += p.size();
-  }
-  std::vector<T> out;
-  out.reserve(total);
-  for (const auto& p : partial) {
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-}  // namespace
 
 void Tib::Insert(const TibRecord& rec) {
   static Counter* inserts = MetricsRegistry::Global().GetCounter("tib.inserts");
@@ -550,108 +484,17 @@ bool Tib::ForEachRecordOfFlow(const FiveTuple& flow, const TimeRange& range,
 
 std::vector<size_t> Tib::RecordsOnLink(const LinkId& link, const TimeRange& range) const {
   auto partial = CollectShardPartials<std::vector<size_t>>(
-      [&](std::vector<size_t>& out, const Shard& s) {
-        s.ForEachStored([&](uint64_t id, const TibRecord& rec) {
-          if (rec.Overlaps(range) && rec.path.MatchesLinkQuery(link)) {
-            out.push_back(size_t(id));
-          }
-        });
+      [&](std::vector<size_t>& ids, uint64_t id, const TibRecord& rec) {
+        if (rec.Overlaps(range) && rec.path.MatchesLinkQuery(link)) {
+          ids.push_back(size_t(id));
+        }
       });
-  std::vector<size_t> out = ConcatPartials(partial);
+  std::vector<size_t> out;
+  for (const std::vector<size_t>& ids : partial) {
+    out.insert(out.end(), ids.begin(), ids.end());
+  }
   // Ascending id == insertion order: the same answer at any shard count.
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-FlowBytesMap Tib::AggregateFlowBytes(const LinkId& link, const TimeRange& range) const {
-  const bool match_all = link.src == kInvalidNode && link.dst == kInvalidNode;
-  auto partial = CollectShardPartials<FlowBytesMap>([&](FlowBytesMap& m, const Shard& s) {
-    for (const Segment& seg : s.segments) {
-      for (const TibRecord& rec : seg.records) {
-        if (rec.Overlaps(range) && (match_all || rec.path.MatchesLinkQuery(link))) {
-          m[rec.flow] += rec.bytes;
-        }
-      }
-    }
-  });
-  // Each flow hashes to exactly one shard, so the partial maps are
-  // key-disjoint and the merge is pure concatenation: per-flow totals are
-  // deterministic integer sums regardless of shard or worker count.
-  size_t total = 0;
-  for (const auto& m : partial) {
-    total += m.size();
-  }
-  FlowBytesMap out;
-  out.reserve(total);
-  for (auto& m : partial) {
-    for (const auto& [flow, bytes] : m) {
-      out.emplace(flow, bytes);
-    }
-  }
-  return out;
-}
-
-CountSummary Tib::CountOnLink(const LinkId& link, const TimeRange& range) const {
-  const bool match_all = link.src == kInvalidNode && link.dst == kInvalidNode;
-  auto partial = CollectShardPartials<CountSummary>([&](CountSummary& c, const Shard& s) {
-    for (const Segment& seg : s.segments) {
-      for (const TibRecord& rec : seg.records) {
-        if (rec.Overlaps(range) && (match_all || rec.path.MatchesLinkQuery(link))) {
-          c.bytes += rec.bytes;
-          c.pkts += rec.pkts;
-        }
-      }
-    }
-  });
-  CountSummary out;
-  for (const CountSummary& c : partial) {
-    out.bytes += c.bytes;
-    out.pkts += c.pkts;
-  }
-  return out;
-}
-
-std::vector<Flow> Tib::FlowsOnLink(const LinkId& link, const TimeRange& range) const {
-  struct Candidate {
-    uint64_t id;
-    FiveTuple flow;
-    CompactPath path;
-  };
-  auto partial = CollectShardPartials<std::vector<Candidate>>(
-      [&](std::vector<Candidate>& out, const Shard& s) {
-        // Duplicates of a (flow, path) pair always share a shard (the flow
-        // picks it), so per-shard first-occurrence dedup is complete.  The
-        // hash key only buckets; equality is exact, so the answer cannot
-        // depend on shard count even under a 64-bit collision.
-        std::unordered_map<uint64_t, std::vector<size_t>> seen;  // key -> out indices
-        s.ForEachStored([&](uint64_t id, const TibRecord& rec) {
-          if (!rec.Overlaps(range) || !rec.path.MatchesLinkQuery(link)) {
-            return;
-          }
-          uint64_t key = rec.path.HashKey(FiveTupleHash{}(rec.flow));
-          std::vector<size_t>& bucket = seen[key];
-          bool dup = false;
-          for (size_t idx : bucket) {
-            if (out[idx].flow == rec.flow && out[idx].path == rec.path) {
-              dup = true;
-              break;
-            }
-          }
-          if (!dup) {
-            bucket.push_back(out.size());
-            out.push_back(Candidate{id, rec.flow, rec.path});
-          }
-        });
-      });
-  std::vector<Candidate> merged = ConcatPartials(partial);
-  // First-appearance order across the whole TIB = ascending first id.
-  std::sort(merged.begin(), merged.end(),
-            [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
-  std::vector<Flow> out;
-  out.reserve(merged.size());
-  for (const Candidate& c : merged) {
-    out.push_back(Flow{c.flow, c.path.ToPath()});
-  }
   return out;
 }
 

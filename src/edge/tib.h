@@ -7,8 +7,8 @@
 // `FiveTupleHash(flow) % num_shards` picks the shard, and each shard owns
 // its own record column, by-flow index, and reader/writer lock.  Inserts
 // and per-flow lookups therefore touch exactly one shard, while full scans
-// (RecordsOnLink, the per-flow byte aggregation behind TopK and the
-// flow-size distribution) fan out shard-parallel over an optional
+// (RecordsOnLink, and the polls of src/edge/standing_query.h through
+// CollectShardPartials) fan out shard-parallel over an optional
 // ThreadPool and merge per-shard partials with a deterministic ordered
 // reduce.  All other lookups are scans — mirroring the document-store
 // access pattern, and keeping a 240 K-record TIB around the ~110 MB the
@@ -67,9 +67,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/flow_delta.h"
 #include "src/common/types.h"
-#include "src/edge/query.h"
 
 namespace pathdump {
 
@@ -88,10 +86,42 @@ struct CompactPath {
 
   bool ContainsSwitch(SwitchId s) const;
   // True if the ordered pair (a, b) appears as consecutive switches.
-  bool ContainsDirectedLink(NodeId a, NodeId b) const;
+  bool ContainsDirectedLink(NodeId a, NodeId b) const {
+    for (int i = 0; i + 1 < len; ++i) {
+      if (sw[size_t(i)] == a && sw[size_t(i) + 1] == b) {
+        return true;
+      }
+    }
+    return false;
+  }
   // True if the record's path matches a (possibly wildcarded) LinkId:
   // kInvalidNode on either side matches any switch in that position.
-  bool MatchesLinkQuery(const LinkId& q) const;
+  // Defined here so the per-record filter of every scan inlines it.
+  bool MatchesLinkQuery(const LinkId& q) const {
+    const bool src_any = q.src == kInvalidNode;
+    const bool dst_any = q.dst == kInvalidNode;
+    if (src_any && dst_any) {
+      return true;
+    }
+    if (src_any) {
+      // (<?, Sj>): any link entering q.dst — q.dst appears with a predecessor.
+      for (int i = 1; i < len; ++i) {
+        if (sw[size_t(i)] == q.dst) {
+          return true;
+        }
+      }
+      return false;
+    }
+    if (dst_any) {
+      for (int i = 0; i + 1 < len; ++i) {
+        if (sw[size_t(i)] == q.src) {
+          return true;
+        }
+      }
+      return false;
+    }
+    return ContainsDirectedLink(q.src, q.dst);
+  }
 
   // Folds the path's switches into `seed` — the shared dedup key for
   // getFlows/getPaths (one definition so every dedup site agrees).
@@ -166,12 +196,6 @@ struct TibMemoryStats {
   size_t segment_count = 0;        // retained segments, summed over shards
 };
 
-// FlowBytesMap — the per-flow byte aggregation shared by TopK and
-// FlowSizeDistribution — lives in src/common/flow_delta.h (standing-query
-// epoch deltas canonicalize the same shape).  Sharding by flow hash means
-// each flow lives in exactly one shard, so per-shard partial maps are
-// key-disjoint.
-
 class Tib {
  public:
   // Hard cap on shards; beyond this, per-shard overhead dwarfs any win.
@@ -239,28 +263,32 @@ class Tib {
 
   // Ids of records whose path matches the (wildcardable) link query and
   // that overlap the range, ascending.  (<*, *>) matches every record.
-  // Shard-parallel when a scan pool is set.
+  // Shard-parallel when a scan pool is set.  (getFlows, getCount, TopK
+  // and the flow-size distribution are polls over CollectShardPartials —
+  // PollTib in src/edge/standing_query.h.)
   std::vector<size_t> RecordsOnLink(const LinkId& link, const TimeRange& range) const;
 
-  // Per-flow byte totals over records overlapping `range` whose path
-  // matches `link` ((<*, *>) aggregates every record).  Shard-parallel;
-  // the merge concatenates key-disjoint per-shard maps, so totals are
-  // deterministic at any shard/worker count.
-  FlowBytesMap AggregateFlowBytes(const LinkId& link, const TimeRange& range) const;
+  // The shard-parallel scan primitive: one Acc per shard, filled by
+  // visit(acc, id, rec) for every retained record of that shard in
+  // ascending id order under the shard's shared lock (one scan task per
+  // shard on the scan pool when set, else sequential), returned in shard
+  // order for the caller's deterministic reduce.  A flow picks its shard,
+  // so per-flow state in different Accs is key-disjoint.  The callback
+  // restrictions of ForEachRecord apply; visits of different shards may
+  // run concurrently.
+  template <typename Acc, typename Visit>
+  std::vector<Acc> CollectShardPartials(Visit&& visit) const {
+    std::vector<Acc> partial(shards_.size());
+    ForEachShardParallel([&](size_t si) {
+      const Shard& s = *shards_[si];
+      std::shared_lock<std::shared_mutex> lock(s.mu);
+      s.ForEachStored([&](uint64_t id, const TibRecord& rec) { visit(partial[si], id, rec); });
+    });
+    return partial;
+  }
 
-  // Byte/packet totals over records overlapping `range` whose path
-  // matches `link` ((<*, *>) counts every record) — the per-host getCount
-  // aggregate behind standing CountSummary subscriptions.  Shard-parallel;
-  // commutative integer sums, so totals are deterministic at any
-  // shard/worker count.
-  CountSummary CountOnLink(const LinkId& link, const TimeRange& range) const;
-
-  // Distinct (flow, path) pairs on a link (the getFlows scan), in order of
-  // first appearance.  Shard-parallel with an ordered reduce by first id.
-  std::vector<Flow> FlowsOnLink(const LinkId& link, const TimeRange& range) const;
-
-  // Non-owning pool used by the scan queries above; nullptr (the default)
-  // scans shards sequentially on the calling thread.
+  // Non-owning pool used by the shard-parallel scans above; nullptr (the
+  // default) scans shards sequentially on the calling thread.
   void SetScanPool(ThreadPool* pool) { scan_pool_.store(pool, std::memory_order_release); }
 
   // --- Insert hooks (the standing-query attachment point) ---
@@ -394,14 +422,7 @@ class Tib {
 
   // Runs fn(shard_index) for every shard — on the scan pool when one is
   // set, else inline.  fn takes its own shard lock.
-  template <typename PerShard>
-  void ForEachShardParallel(PerShard&& fn) const;
-
-  // Shared scan scaffolding: one Acc per shard, filled under that shard's
-  // shared lock (in parallel when a scan pool is set), returned in shard
-  // order for the caller's deterministic ordered reduce.
-  template <typename Acc, typename Fill>
-  std::vector<Acc> CollectShardPartials(Fill&& fill) const;
+  void ForEachShardParallel(const std::function<void(size_t shard_index)>& fn) const;
 
   TibOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -125,11 +125,6 @@ size_t FinishFrame(std::vector<uint8_t>& out, size_t start) {
 
 bool ValidKind(uint8_t kind) { return kind <= uint8_t(StandingQuerySpec::Kind::kCountSummary); }
 
-bool IsRecordKind(StandingQuerySpec::Kind kind) {
-  return kind == StandingQuerySpec::Kind::kFlowList ||
-         kind == StandingQuerySpec::Kind::kCountSummary;
-}
-
 // `allow_empty` is true for kSnapshot frames: a snapshot of "nothing
 // yet" is a legal baseline, while an ordinary delta of nothing is a
 // protocol violation (empty epochs never ship).
@@ -145,7 +140,7 @@ WireError DecodeQueryDeltaPayload(Cursor c, DecodedFrame* out, bool allow_empty)
   if (!c.GetU64(&d.epoch)) return WireError::kBadPayload;
   if (!ValidKind(kind)) return WireError::kBadPayload;
   d.kind = StandingQuerySpec::Kind(kind);
-  if (IsRecordKind(d.kind)) {
+  if (StandingQuerySpec::IsRecordKind(d.kind)) {
     // Record items: 8 id + 13 tuple + 8 bytes + 4 pkts + 1 len + 4·len.
     while (c.left > 0) {
       RecordDeltaItem item;
@@ -287,7 +282,7 @@ size_t EncodeDeltaShapedFrame(FrameType type, const QueryDelta& delta,
   PutU8(out, 0);
   PutU8(out, 0);
   PutU64(out, delta.epoch);
-  if (IsRecordKind(delta.kind)) {
+  if (StandingQuerySpec::IsRecordKind(delta.kind)) {
     for (const RecordDeltaItem& item : delta.records.items) {
       PutU64(out, item.id);
       PutTuple(out, item.flow);

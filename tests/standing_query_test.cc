@@ -1,9 +1,11 @@
 // Standing-query subsystem contract tests (the PR 4 tentpole):
 //
 //  1. Byte-identity — at every epoch boundary the materialized standing
-//     result (TopK and FlowSizeHistogram) equals a fresh poll Execute
-//     over the same TIB contents, across the {1, 4, 16} shards x
-//     {1, 4, 16} workers matrix.
+//     result of all four kinds equals a fresh poll Execute over the same
+//     TIB contents, across the {1, 4, 16} shards x {1, 4, 16} workers
+//     matrix — through the named polls (also with a bounded time range
+//     and non-default parameters) and through EdgeAgent::Poll for
+//     half-wildcard links.
 //  2. Concurrency — epoch ticks racing Tib::Insert are safe (run under
 //     ThreadSanitizer in CI) and the post-race materialization matches
 //     a fresh poll.
@@ -51,24 +53,32 @@ constexpr size_t kTopK = 500;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
 
-Controller::QueryFn PollTopK() {
-  return [](EdgeAgent& a) -> QueryResult { return a.TopK(kTopK, TimeRange::All()); };
+// The four standing kinds as this file subscribes them, in Kind order:
+// kSpecs[0] TopK, [1] histogram, [2] flow list, [3] count.
+const std::vector<StandingQuerySpec> kSpecs =
+    testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
+
+// The named polls — EdgeAgent's one-line forwards to Poll.  The matrix
+// below polls through them, at the defaults and with a bounded range and
+// non-default k / bin width, so each forward's argument mapping stays
+// checked against a subscription built from the same parameters.
+Controller::QueryFn PollTopK(size_t k = kTopK, TimeRange range = TimeRange::All()) {
+  return [k, range](EdgeAgent& a) -> QueryResult { return a.TopK(k, range); };
 }
 
-Controller::QueryFn PollHistogram() {
-  return [](EdgeAgent& a) -> QueryResult {
-    return a.FlowSizeDistribution(kProbeLink, TimeRange::All(), kBinWidth);
+Controller::QueryFn PollHistogram(TimeRange range = TimeRange::All(),
+                                  int64_t bin_width = kBinWidth) {
+  return [range, bin_width](EdgeAgent& a) -> QueryResult {
+    return a.FlowSizeDistribution(kProbeLink, range, bin_width);
   };
 }
 
-Controller::QueryFn PollFlowList() {
-  return [](EdgeAgent& a) -> QueryResult {
-    return FlowList{a.GetFlows(kProbeLink, TimeRange::All())};
-  };
+Controller::QueryFn PollFlowList(TimeRange range = TimeRange::All()) {
+  return [range](EdgeAgent& a) -> QueryResult { return FlowList{a.GetFlows(kProbeLink, range)}; };
 }
 
-Controller::QueryFn PollCount() {
-  return [](EdgeAgent& a) -> QueryResult { return a.CountOnLink(kProbeLink, TimeRange::All()); };
+Controller::QueryFn PollCount(TimeRange range = TimeRange::All()) {
+  return [range](EdgeAgent& a) -> QueryResult { return a.CountOnLink(kProbeLink, range); };
 }
 
 // A small fleet sharing one topology/codec, owned per test.
@@ -104,6 +114,47 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
     records.push_back(MakeRecords(kPerAgent, 0x5D00 + uint32_t(a)));
   }
 
+  // Beyond the default polls: every kind under a bounded time range and
+  // under the half-wildcard links (<*, s>) and (<s, *>).  Records start
+  // on whole seconds and last up to 5 s, so half-second edges cut
+  // through records on both sides.
+  const TimeRange bounded{1200 * kNsPerSec + 500 * kNsPerMs, 2400 * kNsPerSec + 500 * kNsPerMs};
+  size_t straddle_begin = 0;
+  size_t straddle_end = 0;
+  for (const auto& agent_records : records) {
+    for (const TibRecord& rec : agent_records) {
+      straddle_begin += rec.stime < bounded.begin && rec.etime >= bounded.begin;
+      straddle_end += rec.stime < bounded.end && rec.etime >= bounded.end;
+    }
+  }
+  ASSERT_GT(straddle_begin, 0u);
+  ASSERT_GT(straddle_end, 0u);
+  // The bounded set goes through the named polls, with non-default k and
+  // bin width; the half-wildcard sets (every kind filtered by the link,
+  // TopK included) go through EdgeAgent::Poll.
+  const size_t bounded_k = 200;
+  const int64_t bounded_bin = 25000;
+  std::vector<StandingQuerySpec> named =
+      testutil::FourKindSpecs(bounded_k, kProbeLink, bounded_bin);
+  for (StandingQuerySpec& spec : named) {
+    spec.range = bounded;
+  }
+  std::vector<std::pair<StandingQuerySpec, Controller::QueryFn>> extras = {
+      {named[0], PollTopK(bounded_k, bounded)},
+      {named[1], PollHistogram(bounded, bounded_bin)},
+      {named[2], PollFlowList(bounded)},
+      {named[3], PollCount(bounded)}};
+  const std::vector<std::pair<LinkId, TimeRange>> half_wildcards = {
+      {LinkId{kInvalidNode, kProbeLink.dst}, bounded},
+      {LinkId{kProbeLink.src, kInvalidNode}, TimeRange::All()}};
+  for (const auto& [link, range] : half_wildcards) {
+    for (StandingQuerySpec spec : kSpecs) {
+      spec.link = link;
+      spec.range = range;
+      extras.emplace_back(spec, testutil::PollOf(spec));
+    }
+  }
+
   for (size_t shards : {size_t(1), size_t(4), size_t(16)}) {
     Testbed tb(kAgents, shards);
     SubscriptionManager manager(&tb.controller);
@@ -112,6 +163,10 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
         SubscribeFlowSizeDistribution(manager, tb.hosts, kProbeLink, TimeRange::All(), kBinWidth);
     uint64_t list_sub = SubscribeFlowList(manager, tb.hosts, kProbeLink);
     uint64_t count_sub = SubscribeCountSummary(manager, tb.hosts, kProbeLink);
+    std::vector<uint64_t> extra_subs;
+    for (const auto& [spec, poll] : extras) {
+      extra_subs.push_back(manager.Subscribe(tb.hosts, spec));
+    }
 
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
       // One epoch's worth of inserts on every agent...
@@ -151,6 +206,12 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
             << shards << " shards, " << workers << " workers, epoch " << epoch;
         EXPECT_EQ(SerializedBytes(standing_topk), SerializedBytes(poll_topk));
         EXPECT_EQ(SerializedBytes(standing_list), SerializedBytes(poll_list));
+        for (size_t i = 0; i < extras.size(); ++i) {
+          auto [poll, stats] = tb.controller.Execute(tb.hosts, extras[i].second);
+          EXPECT_EQ(manager.Materialize(extra_subs[i]), poll)
+              << shards << " shards, " << workers << " workers, epoch " << epoch
+              << ", filter set " << i / kSpecs.size() << ", kind " << i % kSpecs.size();
+        }
         for (auto& agent : tb.agents) {
           agent->SetQueryThreadPool(nullptr);
         }
@@ -250,7 +311,7 @@ TEST(StandingQueryConcurrency, EpochTicksRaceInserts) {
   // missed, then the materialized state must equal a fresh poll.
   manager.TickEpoch();
   manager.Flush();
-  auto [poll, stats] = tb.controller.Execute(tb.hosts, PollTopK());
+  auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[0]));
   EXPECT_EQ(manager.Materialize(sub), poll);
   EXPECT_EQ(manager.stats().deltas_folded, manager.stats().deltas_submitted);
 }
@@ -289,7 +350,7 @@ TEST(StandingQueryLifecycle, UnsubscribeMidEpochDetachesCleanly) {
   }
   manager.TickEpoch();
   manager.Flush();
-  auto [poll_hist, stats] = tb.controller.Execute(tb.hosts, PollHistogram());
+  auto [poll_hist, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[1]));
   EXPECT_EQ(manager.Materialize(kept), poll_hist);
 }
 
@@ -420,7 +481,7 @@ TEST(StandingQueryPeriodic, AgentTickDrivesEpochs) {
   manager.Flush();
   EXPECT_EQ(manager.info(sub).deltas_folded, 2u);
 
-  auto [poll, stats] = tb.controller.Execute(tb.hosts, PollTopK());
+  auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[0]));
   EXPECT_EQ(manager.Materialize(sub), poll);
 
   manager.Unsubscribe(sub);
@@ -450,38 +511,19 @@ TEST(StandingQueryProperty, RandomizedArrivalsFoldToPollIdentityAllKinds) {
     EdgeAgent& agent = *tb.agents[0];
     SubscriptionManager manager(&tb.controller);
 
-    StandingQuerySpec topk_spec;
-    topk_spec.kind = StandingQuerySpec::Kind::kTopK;
-    topk_spec.k = kTopK;
-    StandingQuerySpec hist_spec;
-    hist_spec.kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
-    hist_spec.bin_width = kBinWidth;
-    hist_spec.link = kProbeLink;
-    StandingQuerySpec list_spec;
-    list_spec.kind = StandingQuerySpec::Kind::kFlowList;
-    list_spec.link = kProbeLink;
-    StandingQuerySpec count_spec;
-    count_spec.kind = StandingQuerySpec::Kind::kCountSummary;
-    count_spec.link = kProbeLink;
-
     struct KindUnderTest {
       uint64_t sub = 0;
       int capture_id = -1;
-      Controller::QueryFn poll;
+      StandingQuerySpec spec;
     };
     std::vector<QueryDelta> captured;
     std::vector<KindUnderTest> kinds;
-    const std::vector<std::pair<StandingQuerySpec, Controller::QueryFn>> kind_specs = {
-        {topk_spec, PollTopK()},
-        {hist_spec, PollHistogram()},
-        {list_spec, PollFlowList()},
-        {count_spec, PollCount()}};
-    for (const auto& [spec, poll] : kind_specs) {
+    for (const StandingQuerySpec& spec : kSpecs) {
       KindUnderTest k;
       k.sub = manager.Subscribe(tb.hosts, spec);
       k.capture_id = agent.RegisterStandingQuery(
           k.sub, spec, [&captured](QueryDelta&& d) { captured.push_back(std::move(d)); });
-      k.poll = poll;
+      k.spec = spec;
       kinds.push_back(std::move(k));
     }
 
@@ -537,7 +579,7 @@ TEST(StandingQueryProperty, RandomizedArrivalsFoldToPollIdentityAllKinds) {
     EXPECT_EQ(stats.deltas_orphaned, injected_junk) << "seed=" << seed;
     for (const KindUnderTest& k : kinds) {
       EXPECT_EQ(manager.info(k.sub).pending_gaps, 0u) << "seed=" << seed;
-      auto [poll, pstats] = tb.controller.Execute(tb.hosts, k.poll);
+      auto [poll, pstats] = tb.controller.Execute(tb.hosts, testutil::PollOf(k.spec));
       EXPECT_EQ(manager.Materialize(k.sub), poll)
           << "seed=" << seed << " kind="
           << int(manager.info(k.sub).spec.kind);
@@ -557,11 +599,9 @@ TEST(StandingQueryRecovery, InProcessResyncRestoresByteIdentityAllKinds) {
                                     kBinWidth),
       SubscribeFlowList(manager, tb.hosts, kProbeLink),
       SubscribeCountSummary(manager, tb.hosts, kProbeLink)};
-  const std::vector<Controller::QueryFn> polls = {PollTopK(), PollHistogram(),
-                                                  PollFlowList(), PollCount()};
   auto expect_identity = [&](const char* ctx) {
     for (size_t s = 0; s < subs.size(); ++s) {
-      auto [poll, stats] = tb.controller.Execute(tb.hosts, polls[s]);
+      auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[s]));
       EXPECT_EQ(manager.Materialize(subs[s]), poll) << ctx << ", kind " << s;
     }
   };

@@ -3,12 +3,15 @@
 #ifndef PATHDUMP_TESTS_TEST_UTIL_H_
 #define PATHDUMP_TESTS_TEST_UTIL_H_
 
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "src/cherrypick/codec.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
+#include "src/edge/edge_agent.h"
+#include "src/edge/standing_query.h"
 #include "src/edge/tib.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
@@ -160,6 +163,24 @@ inline LoopScenario BuildLoopScenario() {
   sc.host_b = t.AddHost(-1, 1, "B");
   t.AddLink(sc.host_b, sc.s6);
   return sc;
+}
+
+// --- Polls of the standing kinds ---
+
+// The four standing kinds at one parameter set, in Kind order — TopK
+// over every link (the paper API's TopK), the rest on `link`.
+inline std::vector<StandingQuerySpec> FourKindSpecs(size_t k, const LinkId& link,
+                                                    int64_t bin_width) {
+  using Kind = StandingQuerySpec::Kind;
+  return {{.kind = Kind::kTopK, .k = k},
+          {.kind = Kind::kFlowSizeHistogram, .bin_width = bin_width, .link = link},
+          {.kind = Kind::kFlowList, .link = link},
+          {.kind = Kind::kCountSummary, .link = link}};
+}
+
+// A Controller::QueryFn that polls `spec` on each agent.
+inline std::function<QueryResult(EdgeAgent&)> PollOf(const StandingQuerySpec& spec) {
+  return [spec](EdgeAgent& a) -> QueryResult { return a.Poll(spec); };
 }
 
 }  // namespace testutil

@@ -56,25 +56,10 @@ constexpr size_t kTopK = 500;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
 
-Controller::QueryFn PollTopK() {
-  return [](EdgeAgent& a) -> QueryResult { return a.TopK(kTopK, TimeRange::All()); };
-}
-
-Controller::QueryFn PollHistogram() {
-  return [](EdgeAgent& a) -> QueryResult {
-    return a.FlowSizeDistribution(kProbeLink, TimeRange::All(), kBinWidth);
-  };
-}
-
-Controller::QueryFn PollFlowList() {
-  return [](EdgeAgent& a) -> QueryResult {
-    return FlowList{a.GetFlows(kProbeLink, TimeRange::All())};
-  };
-}
-
-Controller::QueryFn PollCount() {
-  return [](EdgeAgent& a) -> QueryResult { return a.CountOnLink(kProbeLink, TimeRange::All()); };
-}
+// The four standing kinds as this file subscribes them, in Kind order:
+// kSpecs[0] TopK, [1] histogram, [2] flow list, [3] count.
+const std::vector<StandingQuerySpec> kSpecs =
+    testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
 
 // A small fleet sharing one topology/codec, with a per-testbed TIB
 // memory ceiling (0 = unbounded, the seed default).
@@ -154,22 +139,19 @@ TEST(TibEvictionIdentity, HighCeilingMatchesUnboundedAcrossShardWorkerMatrix) {
           bounded.agents[a]->SetQueryThreadPool(workers > 1 ? &scan_pool : nullptr);
           shadow.agents[a]->SetQueryThreadPool(workers > 1 ? &scan_pool : nullptr);
         }
-        for (const auto& poll : {PollTopK(), PollHistogram(), PollFlowList(), PollCount()}) {
-          auto [seg, sstats] = bounded.controller.Execute(bounded.hosts, poll);
-          auto [flat, fstats] = shadow.controller.Execute(shadow.hosts, poll);
+        for (const StandingQuerySpec& spec : kSpecs) {
+          auto [seg, sstats] = bounded.controller.Execute(bounded.hosts, testutil::PollOf(spec));
+          auto [flat, fstats] = shadow.controller.Execute(shadow.hosts, testutil::PollOf(spec));
           EXPECT_EQ(seg, flat) << shards << " shards, " << workers << " workers, epoch "
                                << epoch;
           EXPECT_EQ(SerializedBytes(seg), SerializedBytes(flat));
         }
-        QueryResult standing_topk = manager.Materialize(topk_sub);
-        QueryResult standing_hist = manager.Materialize(hist_sub);
-        QueryResult standing_list = manager.Materialize(list_sub);
-        QueryResult standing_count = manager.Materialize(count_sub);
-        EXPECT_EQ(standing_topk, shadow.controller.Execute(shadow.hosts, PollTopK()).first)
-            << shards << " shards, " << workers << " workers, epoch " << epoch;
-        EXPECT_EQ(standing_hist, shadow.controller.Execute(shadow.hosts, PollHistogram()).first);
-        EXPECT_EQ(standing_list, shadow.controller.Execute(shadow.hosts, PollFlowList()).first);
-        EXPECT_EQ(standing_count, shadow.controller.Execute(shadow.hosts, PollCount()).first);
+        const uint64_t subs[] = {topk_sub, hist_sub, list_sub, count_sub};
+        for (size_t s = 0; s < kSpecs.size(); ++s) {
+          EXPECT_EQ(manager.Materialize(subs[s]),
+                    shadow.controller.Execute(shadow.hosts, testutil::PollOf(kSpecs[s])).first)
+              << shards << " shards, " << workers << " workers, epoch " << epoch << ", kind " << s;
+        }
         for (size_t a = 0; a < kAgents; ++a) {
           bounded.agents[a]->SetQueryThreadPool(nullptr);
           shadow.agents[a]->SetQueryThreadPool(nullptr);
@@ -226,21 +208,14 @@ TEST(TibEvictionWindow, WindowedQueriesEqualFreshTibLoadedWithRetainedRecords) {
     for (const TibRecord& rec : retained) {
       fresh.Insert(rec);
     }
-    EXPECT_EQ(tib.AggregateFlowBytes(kProbeLink, TimeRange::All()),
-              fresh.AggregateFlowBytes(kProbeLink, TimeRange::All()))
-        << "epoch " << epoch;
-    EXPECT_EQ(tib.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
-              fresh.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()));
-    CountSummary a = tib.CountOnLink(kProbeLink, TimeRange::All());
-    CountSummary b = fresh.CountOnLink(kProbeLink, TimeRange::All());
-    EXPECT_EQ(a.bytes, b.bytes);
-    EXPECT_EQ(a.pkts, b.pkts);
-    std::vector<Flow> flows_seg = tib.FlowsOnLink(kProbeLink, TimeRange::All());
-    std::vector<Flow> flows_fresh = fresh.FlowsOnLink(kProbeLink, TimeRange::All());
-    ASSERT_EQ(flows_seg.size(), flows_fresh.size()) << "epoch " << epoch;
-    for (size_t i = 0; i < flows_seg.size(); ++i) {
-      EXPECT_EQ(flows_seg[i].id, flows_fresh[i].id);
-      EXPECT_EQ(flows_seg[i].path, flows_fresh[i].path);
+    // Every standing kind, plus the exact per-flow totals on the probe
+    // and across all links (TopK with k = 0 keeps every flow).
+    std::vector<StandingQuerySpec> specs = kSpecs;
+    specs.push_back({.kind = StandingQuerySpec::Kind::kTopK, .link = kProbeLink});
+    specs.push_back({.kind = StandingQuerySpec::Kind::kTopK});
+    for (const StandingQuerySpec& spec : specs) {
+      EXPECT_EQ(PollTib(tib, spec), PollTib(fresh, spec))
+          << "epoch " << epoch << ", kind " << int(spec.kind);
     }
     // Persistence writes only the retained window, byte-for-byte what the
     // fresh TIB writes, and the seed format loads it back unchanged.
@@ -463,7 +438,7 @@ TEST(TibEvictionConcurrency, EvictionRacesScansInsertsAndTakeDelta) {
     std::thread scanner([&] {
       Rng rng(seed ^ 0x5CA11);
       while (!done.load(std::memory_order_acquire)) {
-        (void)agent.tib().AggregateFlowBytes(kProbeLink, TimeRange::All());
+        (void)agent.Poll(kSpecs[1]);
         (void)agent.tib().RecordsOnLink(kProbeLink, TimeRange::All());
         (void)agent.tib().record(rng.UniformInt(uint32_t(kPreload + 2 * kPerWriter)));
         const TibRecord& probe = records[rng.UniformInt(uint32_t(records.size()))];
@@ -488,10 +463,10 @@ TEST(TibEvictionConcurrency, EvictionRacesScansInsertsAndTakeDelta) {
     agent.EpochTick();
     manager.Flush();
     EXPECT_EQ(manager.Materialize(topk_sub),
-              shadow.controller.Execute(shadow.hosts, PollTopK()).first)
+              shadow.controller.Execute(shadow.hosts, testutil::PollOf(kSpecs[0])).first)
         << "seed=" << seed;
     EXPECT_EQ(manager.Materialize(count_sub),
-              shadow.controller.Execute(shadow.hosts, PollCount()).first)
+              shadow.controller.Execute(shadow.hosts, testutil::PollOf(kSpecs[3])).first)
         << "seed=" << seed;
 
     TibMemoryStats st = agent.tib().MemoryStats();
@@ -521,8 +496,6 @@ TEST(TibEvictionResync, SnapshotAfterEvictionAdoptsWindowScope) {
                                     kBinWidth),
       SubscribeFlowList(manager, bounded.hosts, kProbeLink),
       SubscribeCountSummary(manager, bounded.hosts, kProbeLink)};
-  const std::vector<Controller::QueryFn> polls = {PollTopK(), PollHistogram(), PollFlowList(),
-                                                  PollCount()};
 
   for (int epoch = 0; epoch < 6; ++epoch) {
     for (const TibRecord& rec : MakeRecords(kPerEpoch, 0x2E00 + uint32_t(epoch))) {
@@ -538,7 +511,7 @@ TEST(TibEvictionResync, SnapshotAfterEvictionAdoptsWindowScope) {
   // the unbounded shadow, even though the local TIB evicted most of it.
   for (size_t s = 0; s < subs.size(); ++s) {
     EXPECT_EQ(manager.Materialize(subs[s]),
-              shadow.controller.Execute(shadow.hosts, polls[s]).first)
+              shadow.controller.Execute(shadow.hosts, testutil::PollOf(kSpecs[s])).first)
         << "pre-resync kind " << s;
   }
 
@@ -554,13 +527,13 @@ TEST(TibEvictionResync, SnapshotAfterEvictionAdoptsWindowScope) {
   EXPECT_EQ(manager.stale_streams(), 0u);
   for (size_t s = 0; s < subs.size(); ++s) {
     EXPECT_EQ(manager.Materialize(subs[s]),
-              bounded.controller.Execute(bounded.hosts, polls[s]).first)
+              bounded.controller.Execute(bounded.hosts, testutil::PollOf(kSpecs[s])).first)
         << "post-resync kind " << s;
   }
   // The window really is narrower than history: the re-baselined TopK
   // total must not match the shadow's.
   EXPECT_NE(manager.Materialize(subs[0]),
-            shadow.controller.Execute(shadow.hosts, PollTopK()).first);
+            shadow.controller.Execute(shadow.hosts, testutil::PollOf(kSpecs[0])).first);
 
   // Folding resumes: the next epoch's deltas land on the re-anchored
   // counter and window-scoped identity holds at the new boundary too.

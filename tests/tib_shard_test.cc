@@ -21,6 +21,7 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/edge/edge_agent.h"
+#include "src/edge/standing_query.h"
 #include "src/edge/tib.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
@@ -162,8 +163,8 @@ TEST_F(TibShardDeterminism, SnapshotAndIdsPreserveInsertionOrder) {
   for (size_t i = 0; i < 10000; ++i) {
     flat.Insert((*records_)[i]);
   }
-  LinkId probe{3, 7};
-  EXPECT_EQ(tib.FlowsOnLink(probe, TimeRange::All()), flat.FlowsOnLink(probe, TimeRange::All()));
+  StandingQuerySpec flows{.kind = StandingQuerySpec::Kind::kFlowList, .link = LinkId{3, 7}};
+  EXPECT_EQ(PollTib(tib, flows), PollTib(flat, flows));
 }
 
 TEST_F(TibShardDeterminism, FlowLookupsMatchWithAndWithoutIndex) {
@@ -204,6 +205,10 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   std::atomic<bool> done{false};
   std::atomic<uint64_t> scans{0};
   const LinkId probe{3, 7};
+  // TopK with k = 0 keeps every flow: the exact per-flow byte totals, in
+  // a total order.
+  const StandingQuerySpec probe_totals{.kind = StandingQuerySpec::Kind::kTopK, .link = probe};
+  const StandingQuerySpec all_totals{.kind = StandingQuerySpec::Kind::kTopK};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
@@ -217,13 +222,13 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        FlowBytesMap agg = tib.AggregateFlowBytes(probe, TimeRange::All());
+        QueryResult totals = PollTib(tib, probe_totals);
         std::vector<size_t> ids = tib.RecordsOnLink(probe, TimeRange::All());
         // Ids are a monotone merge of per-shard ascending columns.
         for (size_t i = 1; i < ids.size(); ++i) {
           ASSERT_LT(ids[i - 1], ids[i]);
         }
-        ASSERT_LE(agg.size(), tib.size());
+        ASSERT_LE(std::get<TopKFlows>(totals).items.size(), tib.size());
         scans.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -248,10 +253,8 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   for (const TibRecord& rec : records) {
     ref.Insert(rec);
   }
-  EXPECT_EQ(tib.AggregateFlowBytes(probe, TimeRange::All()),
-            ref.AggregateFlowBytes(probe, TimeRange::All()));
-  EXPECT_EQ(tib.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
-            ref.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()));
+  EXPECT_EQ(PollTib(tib, probe_totals), PollTib(ref, probe_totals));
+  EXPECT_EQ(PollTib(tib, all_totals), PollTib(ref, all_totals));
   EXPECT_EQ(tib.RecordsOnLink(probe, TimeRange::All()).size(),
             ref.RecordsOnLink(probe, TimeRange::All()).size());
 }

@@ -67,39 +67,6 @@ constexpr size_t kTopK = 300;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
 
-std::vector<StandingQuerySpec> AllSpecs() {
-  std::vector<StandingQuerySpec> specs(4);
-  specs[0].kind = StandingQuerySpec::Kind::kTopK;
-  specs[0].k = kTopK;
-  specs[1].kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
-  specs[1].bin_width = kBinWidth;
-  specs[1].link = kProbeLink;
-  specs[2].kind = StandingQuerySpec::Kind::kFlowList;
-  specs[2].link = kProbeLink;
-  specs[3].kind = StandingQuerySpec::Kind::kCountSummary;
-  specs[3].link = kProbeLink;
-  return specs;
-}
-
-Controller::QueryFn PollFor(const StandingQuerySpec& spec) {
-  switch (spec.kind) {
-    case StandingQuerySpec::Kind::kTopK:
-      return [](EdgeAgent& a) -> QueryResult { return a.TopK(kTopK, TimeRange::All()); };
-    case StandingQuerySpec::Kind::kFlowSizeHistogram:
-      return [](EdgeAgent& a) -> QueryResult {
-        return a.FlowSizeDistribution(kProbeLink, TimeRange::All(), kBinWidth);
-      };
-    case StandingQuerySpec::Kind::kFlowList:
-      return [](EdgeAgent& a) -> QueryResult {
-        return FlowList{a.GetFlows(kProbeLink, TimeRange::All())};
-      };
-    case StandingQuerySpec::Kind::kCountSummary:
-    default:
-      return [](EdgeAgent& a) -> QueryResult {
-        return a.CountOnLink(kProbeLink, TimeRange::All());
-      };
-  }
-}
 
 pid_t ForkWorker(const std::string& shm_name, HostId host) {
   const pid_t pid = fork();
@@ -207,7 +174,7 @@ struct MultiprocTestbed {
   void ExpectPollIdentity(const std::vector<StandingQuerySpec>& specs,
                           const std::vector<uint64_t>& subs, const std::string& context) {
     for (size_t s = 0; s < specs.size(); ++s) {
-      auto [poll, stats] = controller.Execute(hosts, PollFor(specs[s]));
+      auto [poll, stats] = controller.Execute(hosts, testutil::PollOf(specs[s]));
       QueryResult standing = manager.Materialize(subs[s]);
       EXPECT_EQ(standing, poll) << context << ", kind " << s;
     }
@@ -230,7 +197,8 @@ TEST(TransportMultiproc, ForkedAgentsMatchPollByteForByte) {
   MultiprocTestbed tb(kAgents);
   ASSERT_TRUE(tb.hub.WaitForHellos(30'000'000)) << "agents never mapped their segments";
 
-  const std::vector<StandingQuerySpec> specs = AllSpecs();
+  const std::vector<StandingQuerySpec> specs =
+      testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
   std::vector<uint64_t> subs;
   for (const StandingQuerySpec& spec : specs) {
     subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
@@ -276,7 +244,8 @@ TEST(TransportMultiproc, SigkilledAgentSurfacesInStatsAndSurvivorsKeepFolding) {
   MultiprocTestbed tb(kAgents);
   ASSERT_TRUE(tb.hub.WaitForHellos(30'000'000));
 
-  const std::vector<StandingQuerySpec> specs = AllSpecs();
+  const std::vector<StandingQuerySpec> specs =
+      testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
   std::vector<uint64_t> subs;
   for (const StandingQuerySpec& spec : specs) {
     subs.push_back(tb.hub.Subscribe(tb.hosts, spec));

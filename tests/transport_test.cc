@@ -272,51 +272,8 @@ constexpr size_t kTopK = 500;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
 
-StandingQuerySpec SpecTopK() {
-  StandingQuerySpec s;
-  s.kind = StandingQuerySpec::Kind::kTopK;
-  s.k = kTopK;
-  return s;
-}
-StandingQuerySpec SpecHistogram() {
-  StandingQuerySpec s;
-  s.kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
-  s.bin_width = kBinWidth;
-  s.link = kProbeLink;
-  return s;
-}
-StandingQuerySpec SpecFlowList() {
-  StandingQuerySpec s;
-  s.kind = StandingQuerySpec::Kind::kFlowList;
-  s.link = kProbeLink;
-  return s;
-}
-StandingQuerySpec SpecCount() {
-  StandingQuerySpec s;
-  s.kind = StandingQuerySpec::Kind::kCountSummary;
-  s.link = kProbeLink;
-  return s;
-}
-
-Controller::QueryFn PollFor(const StandingQuerySpec& spec) {
-  switch (spec.kind) {
-    case StandingQuerySpec::Kind::kTopK:
-      return [](EdgeAgent& a) -> QueryResult { return a.TopK(kTopK, TimeRange::All()); };
-    case StandingQuerySpec::Kind::kFlowSizeHistogram:
-      return [](EdgeAgent& a) -> QueryResult {
-        return a.FlowSizeDistribution(kProbeLink, TimeRange::All(), kBinWidth);
-      };
-    case StandingQuerySpec::Kind::kFlowList:
-      return [](EdgeAgent& a) -> QueryResult {
-        return FlowList{a.GetFlows(kProbeLink, TimeRange::All())};
-      };
-    case StandingQuerySpec::Kind::kCountSummary:
-    default:
-      return [](EdgeAgent& a) -> QueryResult {
-        return a.CountOnLink(kProbeLink, TimeRange::All());
-      };
-  }
-}
+const std::vector<StandingQuerySpec> kSpecs =
+    testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
 
 // In-process stand-in for examples/agent_worker.cpp: the same command
 // loop, one thread per agent, speaking real frames over real rings.
@@ -509,8 +466,6 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
   const int kPerEpoch = 1200;
   const int kEpochs = 3;
   const size_t kAgents = 3;
-  const std::vector<StandingQuerySpec> kSpecs = {SpecTopK(), SpecHistogram(), SpecFlowList(),
-                                                 SpecCount()};
 
   for (size_t shards : {size_t(1), size_t(4), size_t(16)}) {
     TransportTestbed tb(GetParam(), kAgents, shards);
@@ -536,7 +491,7 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
           twin->SetQueryThreadPool(workers > 1 ? &scan_pool : nullptr);
         }
         for (size_t s = 0; s < kSpecs.size(); ++s) {
-          auto [poll, stats] = tb.controller.Execute(tb.hosts, PollFor(kSpecs[s]));
+          auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[s]));
           QueryResult standing = tb.manager.Materialize(subs[s]);
           EXPECT_EQ(standing, poll)
               << "backend "
@@ -651,8 +606,6 @@ TEST(TransportFaultMatrix, EveryFaultKindIsCountedAndNeverFolded) {
   const int kPerEpoch = 600;
   const int kEpochs = 8;
   const size_t kAgents = 3;
-  const std::vector<StandingQuerySpec> kSpecs = {SpecTopK(), SpecHistogram(), SpecFlowList(),
-                                                 SpecCount()};
 
   std::vector<FaultCase> cases;
   {
@@ -707,7 +660,7 @@ TEST(TransportFaultMatrix, EveryFaultKindIsCountedAndNeverFolded) {
       // fold) before comparing against the poll reference.
       ASSERT_TRUE(tb.Quiesce(subs, 20'000'000)) << "epoch " << epoch;
       for (size_t s = 0; s < kSpecs.size(); ++s) {
-        auto [poll, stats] = tb.controller.Execute(tb.hosts, PollFor(kSpecs[s]));
+        auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[s]));
         QueryResult standing = tb.manager.Materialize(subs[s]);
         EXPECT_EQ(standing, poll) << "kind " << s << ", epoch " << epoch;
       }
