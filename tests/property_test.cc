@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "src/cherrypick/codec.h"
@@ -28,6 +29,14 @@ struct PipelineParam {
   TopologyKind kind;
   LoadBalanceMode mode;
 };
+
+// Names each case by its fields. Without it gtest prints the raw bytes of
+// the struct, padding included, so the discovered test names would change
+// from run to run.
+void PrintTo(const PipelineParam& param, std::ostream* os) {
+  *os << (param.kind == TopologyKind::kFatTree ? "FatTree" : "Vl2") << '_'
+      << (param.mode == LoadBalanceMode::kEcmpHash ? "EcmpHash" : "PacketSpray");
+}
 
 class DecodeEquivalence : public ::testing::TestWithParam<PipelineParam> {};
 
