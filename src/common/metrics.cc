@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 namespace pathdump {
 
@@ -199,43 +200,55 @@ LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    out.counters[name] = c->value();
-  }
-  for (const auto& [name, g] : gauges_) {
-    out.gauges[name] = g->value();
-  }
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot snap;
-    for (const auto& shard : h->shards_) {
-      snap.count += shard.count.load(std::memory_order_relaxed);
-      snap.sum += shard.sum.load(std::memory_order_relaxed);
-      for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-        snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-      }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, c] : counters_) {
+      out.counters[name] = c->value();
     }
-    out.histograms[name] = snap;
+    for (const auto& [name, g] : gauges_) {
+      out.gauges[name] = g->value();
+    }
+    for (const auto& [name, h] : histograms_) {
+      HistogramSnapshot snap;
+      for (const auto& shard : h->shards_) {
+        snap.count += shard.count.load(std::memory_order_relaxed);
+        snap.sum += shard.sum.load(std::memory_order_relaxed);
+        for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+          snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
+        }
+      }
+      out.histograms[name] = snap;
+    }
+  }
+  // Sources run outside mu_: a report may take a component lock under
+  // which that component resolves handles.
+  std::lock_guard<std::mutex> lock(sources_mu_);
+  out.Merge(retired_);
+  for (const MetricsSource* source : sources_) {
+    source->report_(out);
   }
   return out;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    c->value_.store(0, std::memory_order_relaxed);
+MetricsSource::MetricsSource(Report report) : report_(std::move(report)) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  std::lock_guard<std::mutex> lock(registry.sources_mu_);
+  registry.sources_.push_back(this);
+}
+
+MetricsSource::~MetricsSource() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  // Read and unregister under one lock, so no snapshot can see a value
+  // newer than the one retired (counters stay monotone).
+  std::lock_guard<std::mutex> lock(registry.sources_mu_);
+  MetricsSnapshot last;
+  report_(last);
+  std::erase(registry.sources_, this);
+  for (const auto& [name, v] : last.counters) {
+    registry.retired_.counters[name] += v;
   }
-  for (const auto& [name, g] : gauges_) {
-    g->value_.store(0, std::memory_order_relaxed);
-  }
-  for (const auto& [name, h] : histograms_) {
-    for (auto& shard : h->shards_) {
-      shard.count.store(0, std::memory_order_relaxed);
-      shard.sum.store(0, std::memory_order_relaxed);
-      for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-        shard.buckets[b].store(0, std::memory_order_relaxed);
-      }
-    }
+  for (const auto& [name, v] : last.gauges) {
+    registry.retired_.gauges.try_emplace(name, 0);
   }
 }
 

@@ -2,30 +2,32 @@
 // latency histograms, with one mergeable/diff-able snapshot covering the
 // whole system.
 //
-// Every subsystem used to carry its own ad-hoc stats struct
-// (AlarmPipelineStats, MpscChannelStats, TransportStats, the subscription
-// fold counters) — each observable only through its own accessor, none
-// comparable across a run.  The registry gives them one namespace:
+// Every event is written once, through one of two paths:
 //
-//   components hold Counter*/Gauge*/LatencyHistogram* handles, resolved
-//   once at construction (MetricsRegistry::Global().GetCounter("sub.
-//   deltas_folded")) and bumped with a single relaxed atomic op on the
-//   hot path.  MetricsRegistry::Global().Snapshot() is a consistent-
-//   enough point-in-time copy of every registered metric; snapshots
-//   Diff() against an earlier one (interval counters) and Merge() across
-//   processes, and export as aligned text or JSON.
+//   handles — Counter*/Gauge*/LatencyHistogram* resolved once
+//     (MetricsRegistry::Global().GetCounter("tib.inserts")) and bumped
+//     with a single relaxed atomic op, for counts no component keeps
+//     itself ("tib.inserts", "standing.*", "wire.*", every histogram).
+//   sources — a MetricsSource member of a component whose stats struct
+//     already holds the count (SubscriptionManagerStats, TransportStats,
+//     ...).  Snapshot() calls its report, which adds the instance's
+//     current values under registry names; the hot path pays nothing.
+//
+// MetricsRegistry::Global().Snapshot() is a consistent-enough
+// point-in-time copy of both; snapshots Diff() against an earlier one
+// (interval counters) and Merge() across processes, and export as
+// aligned text or JSON.
 //
 // Naming convention: "<subsystem>.<metric>", e.g. "tib.inserts",
 // "sub.deltas_folded", "transport.frames", "alarm.delivered".  Latency
 // histograms end in "_us" and record microseconds.
 //
-// Instance views vs registry totals: components that can be instantiated
-// many times per process (channels, pipelines, hubs) keep their existing
-// per-instance stats structs as thin views — those remain exact per
-// instance — while ALSO bumping the registry counters, which therefore
-// hold process-wide totals across every instance that ever lived.  Tests
-// that assert on registry values always diff two snapshots rather than
-// reading absolutes.
+// Instance views vs registry totals: a stats struct is the exact view of
+// one instance; a registry name sums every instance in the process.  A
+// destroyed source's final counters fold into a retired total, so
+// counters stay monotone and Diff() never underflows; its gauges drop
+// out, so a gauge is the level of the live instances.  Tests diff two
+// snapshots rather than reading absolutes.
 //
 // Cost contract (the bench_transport overhead gate holds this to <3% on
 // the epoch pipeline):
@@ -33,14 +35,14 @@
 //  * LatencyHistogram::Record — one relaxed RMW on a thread-sharded
 //    bucket (threads hash to one of kShards cache-line-padded shards, so
 //    concurrent recorders almost never contend on a line).
-//  * When metrics are disabled (MetricsRegistry::SetEnabled(false)) every
-//    record path is one relaxed load + branch; compiling with
-//    -DPATHDUMP_DISABLE_METRICS turns the record paths into true no-ops.
+//  * MetricsRegistry::SetEnabled(false) makes every handle record path
+//    one relaxed load + branch.  Sources are not gated: they report
+//    correctness counters their component keeps anyway.
 //
 // Thread safety: registration takes a mutex (cold path, once per
 // component); handles are stable for the process lifetime (node-based
 // map, never erased).  Recording and Snapshot() are lock-free on the
-// metric values themselves.
+// handle values themselves.
 
 #ifndef PATHDUMP_SRC_COMMON_METRICS_H_
 #define PATHDUMP_SRC_COMMON_METRICS_H_
@@ -49,25 +51,21 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace pathdump {
-
-#if defined(PATHDUMP_DISABLE_METRICS)
-inline constexpr bool kMetricsCompiledIn = false;
-#else
-inline constexpr bool kMetricsCompiledIn = true;
-#endif
 
 namespace metrics_internal {
 // Global runtime enable flag (see MetricsRegistry::SetEnabled).  A plain
 // relaxed load on every record path; defaults to on.
 inline std::atomic<bool> g_enabled{true};
 inline bool Enabled() {
-  return kMetricsCompiledIn && g_enabled.load(std::memory_order_relaxed);
+  return g_enabled.load(std::memory_order_relaxed);
 }
 // Stable small id for the calling thread, used to pick histogram shards
 // and label trace spans.  Dense (0, 1, 2, ...) in thread-creation order.
@@ -193,6 +191,8 @@ struct MetricsSnapshot {
   friend bool operator==(const MetricsSnapshot&, const MetricsSnapshot&) = default;
 };
 
+class MetricsSource;
+
 class MetricsRegistry {
  public:
   // The process-wide registry every subsystem registers into.
@@ -206,14 +206,11 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   LatencyHistogram* GetHistogram(const std::string& name);
 
+  // Every handle, plus the retired totals, plus every live source's report.
   MetricsSnapshot Snapshot() const;
 
-  // Zeroes every registered metric (handles stay valid).  Test/bench
-  // convenience only — production readers diff snapshots instead.
-  void Reset();
-
-  // Runtime kill switch for every record path (the overhead gate's
-  // "metrics off" side).  Registration and Snapshot still work.
+  // Runtime kill switch for every handle record path (the overhead
+  // gate's "metrics off" side).  Registration and Snapshot still work.
   static void SetEnabled(bool enabled) {
     metrics_internal::g_enabled.store(enabled, std::memory_order_relaxed);
   }
@@ -224,10 +221,41 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
  private:
+  friend class MetricsSource;
+
   mutable std::mutex mu_;  // guards the maps' structure, not the values
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
+
+  // Held across report calls, so a source's destructor waits out any
+  // snapshot that is reading it.  Never held together with mu_.
+  mutable std::mutex sources_mu_;
+  std::vector<const MetricsSource*> sources_;
+  // Final counters of destroyed sources; their gauge names stay at 0.
+  MetricsSnapshot retired_;
+};
+
+// One component instance's registration with the global registry (see
+// "sources" above).  The report adds (+=) the instance's values into the
+// snapshot it is given, since several instances report under one name.
+// It runs outside the handle mutex and may take the component's own
+// locks, but must not construct or destroy a MetricsSource.  Declare the
+// member after everything the report reads: the destructor reads the
+// final counters once more and folds them into the retired total.
+class MetricsSource {
+ public:
+  using Report = std::function<void(MetricsSnapshot&)>;
+
+  explicit MetricsSource(Report report);
+  ~MetricsSource();
+
+  MetricsSource(const MetricsSource&) = delete;
+  MetricsSource& operator=(const MetricsSource&) = delete;
+
+ private:
+  friend class MetricsRegistry;
+  const Report report_;
 };
 
 }  // namespace pathdump

@@ -72,14 +72,6 @@ struct MpscChannelOptions {
   // Largest batch the drain worker pulls in one go.
   size_t max_batch = 256;
   MpscOverflowPolicy overflow = MpscOverflowPolicy::kBlock;
-  // When non-empty, the channel mirrors its counters into the process
-  // metrics registry under "<metric_prefix>.submitted" / ".dropped" /
-  // ".blocked_enqueues" / ".processed" / ".batches" and exposes its
-  // queue depth as the "<metric_prefix>.depth" gauge.  Registry values
-  // are process-wide totals across every channel sharing the prefix;
-  // stats() stays the exact per-instance view.  Resolved at
-  // construction only (Reconfigure does not re-register).
-  std::string metric_prefix;
 };
 
 // All counters are cumulative since construction (Reconfigure keeps them).
@@ -87,9 +79,20 @@ struct MpscChannelStats {
   uint64_t submitted = 0;         // accepted into the queue
   uint64_t dropped = 0;           // rejected (kDropNewest full, or shutdown)
   uint64_t blocked_enqueues = 0;  // Submit() calls that had to wait (kBlock)
-  uint64_t processed = 0;         // pulled out and handed to the consumer
+  uint64_t processed = 0;         // consumed (the consumer callback returned)
   uint64_t batches = 0;           // drain pulls
   uint64_t max_batch = 0;         // largest single pull
+  uint64_t depth = 0;             // items queued right now (a level)
+
+  // The owner's metrics-source report, as "<prefix>.<field>" names.
+  void AddTo(MetricsSnapshot& snap, const std::string& prefix) const {
+    snap.counters[prefix + ".submitted"] += submitted;
+    snap.counters[prefix + ".dropped"] += dropped;
+    snap.counters[prefix + ".blocked_enqueues"] += blocked_enqueues;
+    snap.counters[prefix + ".processed"] += processed;
+    snap.counters[prefix + ".batches"] += batches;
+    snap.gauges[prefix + ".depth"] += int64_t(depth);
+  }
 };
 
 namespace mpsc_internal {
@@ -142,16 +145,6 @@ class MpscChannel {
 
   MpscChannel(MpscChannelOptions options, Consumer consumer)
       : options_(options), consumer_(std::move(consumer)) {
-    if (!options_.metric_prefix.empty()) {
-      MetricsRegistry& reg = MetricsRegistry::Global();
-      const std::string& p = options_.metric_prefix;
-      m_submitted_ = reg.GetCounter(p + ".submitted");
-      m_dropped_ = reg.GetCounter(p + ".dropped");
-      m_blocked_ = reg.GetCounter(p + ".blocked_enqueues");
-      m_processed_ = reg.GetCounter(p + ".processed");
-      m_batches_ = reg.GetCounter(p + ".batches");
-      m_depth_ = reg.GetGauge(p + ".depth");
-    }
     drain_ = std::thread([this] { DrainLoop(); });
   }
 
@@ -182,33 +175,23 @@ class MpscChannel {
     // drain-everything guarantee covers items accepted before ~MpscChannel.
     if (stop_) {
       ++stats_.dropped;
-      CountDropped();
       return false;
     }
     if (queue_.size() >= options_.capacity) {
       if (options_.overflow == MpscOverflowPolicy::kDropNewest) {
         ++stats_.dropped;
-        CountDropped();
         return false;
       }
       ++stats_.blocked_enqueues;
-      if (m_blocked_ != nullptr) {
-        m_blocked_->Add();
-      }
       space_cv_.wait(lock, [this] { return queue_.size() < options_.capacity || stop_; });
       if (stop_) {
         ++stats_.dropped;
-        CountDropped();
         return false;
       }
     }
     item.seq = next_seq_++;
     queue_.push_back(std::move(item));
     ++stats_.submitted;
-    if (m_submitted_ != nullptr) {
-      m_submitted_->Add();
-      m_depth_->Set(int64_t(queue_.size()));
-    }
     work_cv_.notify_one();
     return true;
   }
@@ -238,7 +221,9 @@ class MpscChannel {
 
   MpscChannelStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    MpscChannelStats out = stats_;
+    out.depth = queue_.size();
+    return out;
   }
 
   MpscChannelOptions options() const {
@@ -267,11 +252,6 @@ class MpscChannel {
       }
       ++stats_.batches;
       stats_.max_batch = std::max<uint64_t>(stats_.max_batch, take);
-      if (m_batches_ != nullptr) {
-        m_batches_->Add();
-        m_processed_->Add(take);
-        m_depth_->Set(int64_t(queue_.size()));
-      }
       lock.unlock();
       space_cv_.notify_all();
 
@@ -283,12 +263,6 @@ class MpscChannel {
     }
   }
 
-  void CountDropped() {
-    if (m_dropped_ != nullptr) {
-      m_dropped_->Add();
-    }
-  }
-
   mutable std::mutex mu_;             // queue + options + counters
   std::condition_variable work_cv_;   // queue non-empty / shutdown
   std::condition_variable space_cv_;  // queue has room (kBlock producers)
@@ -297,16 +271,7 @@ class MpscChannel {
   std::deque<T> queue_;
   bool stop_ = false;
   uint64_t next_seq_ = 0;
-  MpscChannelStats stats_;
-
-  // Registry mirrors (all null when options_.metric_prefix is empty;
-  // m_submitted_ doubles as the "mirroring on" flag for the push side).
-  Counter* m_submitted_ = nullptr;
-  Counter* m_dropped_ = nullptr;
-  Counter* m_blocked_ = nullptr;
-  Counter* m_processed_ = nullptr;
-  Counter* m_batches_ = nullptr;
-  Gauge* m_depth_ = nullptr;
+  MpscChannelStats stats_;  // depth is filled in by stats()
 
   const Consumer consumer_;
   std::thread drain_;

@@ -24,12 +24,21 @@ bool SampleThisSubmit() {
 
 AlarmPipeline::AlarmPipeline(AlarmPipelineOptions options)
     : options_(options),
-      channel_(MpscChannelOptions{options.queue_capacity, options.max_batch, options.overflow,
-                                  "alarm.channel"},
-               [this](std::vector<Alarm>& batch) { ProcessBatch(batch); }) {
+      channel_(MpscChannelOptions{options.queue_capacity, options.max_batch, options.overflow},
+               [this](std::vector<Alarm>& batch) { ProcessBatch(batch); }),
+      metrics_([this](MetricsSnapshot& snap) {
+        snap.counters["alarm.suppressed"] += suppressed_.load(std::memory_order_acquire);
+        snap.counters["alarm.delivered"] += delivered_.load(std::memory_order_acquire);
+        channel_.stats().AddTo(snap, "alarm.channel");
+      }) {
   if (options_.dispatch_workers > 1) {
     dispatch_pool_ = std::make_unique<ThreadPool>(options_.dispatch_workers);
   }
+}
+
+AlarmPipeline::~AlarmPipeline() {
+  // Deliver what is queued while metrics_ can still count it.
+  channel_.Flush();
 }
 
 bool AlarmPipeline::Submit(const Alarm& alarm) {
@@ -64,8 +73,6 @@ AlarmPipelineStats AlarmPipeline::stats() const {
 }
 
 void AlarmPipeline::ProcessBatch(std::vector<Alarm>& batch) {
-  static Counter* m_suppressed = MetricsRegistry::Global().GetCounter("alarm.suppressed");
-  static Counter* m_delivered = MetricsRegistry::Global().GetCounter("alarm.delivered");
   TraceScope drain_span("alarm.drain", TraceKeys{});
   // Suppression runs on the drain worker in sequence order, so the set of
   // survivors depends only on submission order, never on dispatch timing.
@@ -100,8 +107,6 @@ void AlarmPipeline::ProcessBatch(std::vector<Alarm>& batch) {
   }
   suppressed_.fetch_add(suppressed, std::memory_order_acq_rel);
   delivered_.fetch_add(survivors.size(), std::memory_order_acq_rel);
-  m_suppressed->Add(suppressed);
-  m_delivered->Add(survivors.size());
   if (survivors.empty()) {
     return;
   }

@@ -51,6 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/mpsc_channel.h"
 #include "src/common/thread_pool.h"
 #include "src/common/types.h"
@@ -91,7 +92,7 @@ class AlarmPipeline {
   explicit AlarmPipeline(AlarmPipelineOptions options = {});
   // Drains everything already submitted (alarms are never lost on
   // shutdown under kBlock), then joins the drain worker.
-  ~AlarmPipeline() = default;
+  ~AlarmPipeline();
 
   AlarmPipeline(const AlarmPipeline&) = delete;
   AlarmPipeline& operator=(const AlarmPipeline&) = delete;
@@ -164,9 +165,10 @@ class AlarmPipeline {
   mutable std::mutex subs_mu_;
   std::vector<AlarmHandler> subscribers_;
 
-  // Declared last: its destructor drains the queue through ProcessBatch,
-  // which touches everything above.
+  // Declared after the state ProcessBatch touches: its destructor drains
+  // the queue through ProcessBatch.
   MpscChannel<Alarm> channel_;
+  MetricsSource metrics_;  // last: unregisters before the state it reads
 };
 
 }  // namespace pathdump

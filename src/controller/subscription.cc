@@ -15,8 +15,20 @@ SubscriptionManager::SubscriptionManager(Controller* controller,
     : controller_(controller),
       options_(options),
       channel_(MpscChannelOptions{options.queue_capacity, options.max_batch,
-                                  MpscOverflowPolicy::kBlock, "sub.channel"},
-               [this](std::vector<QueryDelta>& batch) { FoldBatch(batch); }) {}
+                                  MpscOverflowPolicy::kBlock},
+               [this](std::vector<QueryDelta>& batch) { FoldBatch(batch); }),
+      metrics_([this](MetricsSnapshot& snap) {
+        const SubscriptionManagerStats s = stats();
+        snap.counters["sub.deltas_folded"] += s.deltas_folded;
+        snap.counters["sub.delta_bytes"] += s.delta_bytes;
+        snap.counters["sub.flow_updates"] += s.flow_updates;
+        snap.counters["sub.deltas_orphaned"] += s.deltas_orphaned;
+        snap.counters["sub.deltas_reordered"] += s.deltas_reordered;
+        snap.counters["sub.snapshot_folds"] += s.snapshot_folds;
+        snap.counters["sub.deltas_stale_discarded"] += s.deltas_stale_discarded;
+        snap.counters["sub.resyncs"] += s.resyncs;
+        channel_.stats().AddTo(snap, "sub.channel");
+      }) {}
 
 SubscriptionManager::~SubscriptionManager() {
   // Detach agent-side accumulators first so no new delta is produced.
@@ -35,6 +47,8 @@ SubscriptionManager::~SubscriptionManager() {
   for (Subscription& sub : detach) {
     DetachAgents(sub);
   }
+  // Fold what is queued while metrics_ can still count it.
+  channel_.Flush();
 }
 
 uint64_t SubscriptionManager::Subscribe(const std::vector<HostId>& hosts,
@@ -171,12 +185,6 @@ void SubscriptionManager::Flush() { channel_.Flush(); }
 
 void SubscriptionManager::FoldReady(Subscription& sub, HostState& hs,
                                     const PendingDelta& delta, const TraceKeys& keys) {
-  // Fold-side registry mirrors: process-wide atomic totals alongside the
-  // exact per-manager atomics and per-subscription (state_mu_-guarded)
-  // views, so external readers never touch unsynchronized state.
-  static Counter* m_folded = MetricsRegistry::Global().GetCounter("sub.deltas_folded");
-  static Counter* m_bytes = MetricsRegistry::Global().GetCounter("sub.delta_bytes");
-  static Counter* m_updates = MetricsRegistry::Global().GetCounter("sub.flow_updates");
   TraceScope span("fold", keys);
   uint64_t updates;
   if (sub.spec.IsRecordKind()) {
@@ -192,18 +200,9 @@ void SubscriptionManager::FoldReady(Subscription& sub, HostState& hs,
   deltas_folded_.fetch_add(1, std::memory_order_acq_rel);
   flow_updates_.fetch_add(updates, std::memory_order_acq_rel);
   delta_bytes_.fetch_add(delta.wire_bytes, std::memory_order_acq_rel);
-  m_folded->Add();
-  m_bytes->Add(delta.wire_bytes);
-  m_updates->Add(updates);
 }
 
 void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
-  static Counter* m_orphaned = MetricsRegistry::Global().GetCounter("sub.deltas_orphaned");
-  static Counter* m_reordered = MetricsRegistry::Global().GetCounter("sub.deltas_reordered");
-  static Counter* m_snapshot_folds = MetricsRegistry::Global().GetCounter("sub.snapshot_folds");
-  static Counter* m_stale_discarded =
-      MetricsRegistry::Global().GetCounter("sub.deltas_stale_discarded");
-  static Counter* m_resyncs = MetricsRegistry::Global().GetCounter("sub.resyncs");
   // Streams the gap threshold marked stale this batch; the requester
   // fires after state_mu_ is released (it pushes to a command ring).
   std::vector<std::pair<uint64_t, HostId>> fire;
@@ -215,14 +214,12 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
       auto it = subscriptions_.find(d.subscription_id);
       if (it == subscriptions_.end()) {
         deltas_orphaned_.fetch_add(1, std::memory_order_acq_rel);
-        m_orphaned->Add();
         continue;
       }
       Subscription& sub = it->second;
       auto hit = sub.host_state.find(d.host);
       if (hit == sub.host_state.end()) {
         deltas_orphaned_.fetch_add(1, std::memory_order_acq_rel);
-        m_orphaned->Add();
         continue;
       }
       HostState& hs = hit->second;
@@ -238,12 +235,10 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         // Buffered stragglers end in the stale_discarded bucket — every
         // submitted delta lands in exactly one terminal bucket.
         stale_discarded_.fetch_add(hs.pending.size(), std::memory_order_acq_rel);
-        m_stale_discarded->Add(hs.pending.size());
         hs.pending.clear();
         hs.stale = false;
         hs.next_epoch = d.epoch;  // FoldReady advances it to d.epoch + 1
         snapshot_folds_.fetch_add(1, std::memory_order_acq_rel);
-        m_snapshot_folds->Add();
         const uint64_t t0 = Tracer::Global().NowUs();
         FoldReady(sub, hs, PendingDelta{std::move(d.payload), std::move(d.records), wire_bytes},
                   keys);
@@ -254,13 +249,11 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         // Pre-snapshot straggler: its increment is useless without the
         // lost prefix, and the snapshot in flight supersedes it.
         stale_discarded_.fetch_add(1, std::memory_order_acq_rel);
-        m_stale_discarded->Add();
         continue;
       }
       if (d.epoch < hs.next_epoch) {
         // Duplicate (already folded) — fold-once means drop.
         deltas_orphaned_.fetch_add(1, std::memory_order_acq_rel);
-        m_orphaned->Add();
         continue;
       }
       if (d.epoch > hs.next_epoch) {
@@ -275,10 +268,8 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
                 .second;
         if (inserted) {
           deltas_reordered_.fetch_add(1, std::memory_order_acq_rel);
-          m_reordered->Add();
         } else {
           deltas_orphaned_.fetch_add(1, std::memory_order_acq_rel);
-          m_orphaned->Add();
         }
         if (options_.gap_resync_threshold > 0 &&
             hs.pending.size() >= options_.gap_resync_threshold) {
@@ -287,10 +278,8 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
           // the stream stale and ask for a snapshot.
           hs.stale = true;
           stale_discarded_.fetch_add(hs.pending.size(), std::memory_order_acq_rel);
-          m_stale_discarded->Add(hs.pending.size());
           hs.pending.clear();
           resyncs_.fetch_add(1, std::memory_order_acq_rel);
-          m_resyncs->Add();
           Tracer::Global().Record("resync.request", Tracer::Global().NowUs(), 0,
                                   TraceKeys{d.subscription_id, d.host, hs.next_epoch});
           fire.emplace_back(d.subscription_id, d.host);
@@ -316,9 +305,6 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
 }
 
 bool SubscriptionManager::MarkStale(uint64_t id, HostId host) {
-  static Counter* m_resyncs = MetricsRegistry::Global().GetCounter("sub.resyncs");
-  static Counter* m_stale_discarded =
-      MetricsRegistry::Global().GetCounter("sub.deltas_stale_discarded");
   std::lock_guard<std::mutex> state(state_mu_);
   auto it = subscriptions_.find(id);
   if (it == subscriptions_.end()) {
@@ -333,10 +319,8 @@ bool SubscriptionManager::MarkStale(uint64_t id, HostId host) {
   // Stragglers are superseded by the snapshot; they land in the
   // stale_discarded bucket so the submitted-delta identity holds.
   stale_discarded_.fetch_add(hs.pending.size(), std::memory_order_acq_rel);
-  m_stale_discarded->Add(hs.pending.size());
   hs.pending.clear();
   resyncs_.fetch_add(1, std::memory_order_acq_rel);
-  m_resyncs->Add();
   Tracer::Global().Record("resync.request", Tracer::Global().NowUs(), 0,
                           TraceKeys{id, host, hs.next_epoch});
   return true;

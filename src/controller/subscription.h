@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "src/common/flow_delta.h"
+#include "src/common/metrics.h"
 #include "src/common/mpsc_channel.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
@@ -258,9 +259,10 @@ class SubscriptionManager {
   uint64_t next_subscription_id_ = 1;
   std::unordered_map<uint64_t, Subscription> subscriptions_;
 
-  // Declared last: its destructor drains the queue through FoldBatch,
-  // which touches everything above.
+  // Declared after the state FoldBatch touches: its destructor drains
+  // the queue through FoldBatch.
   MpscChannel<QueryDelta> channel_;
+  MetricsSource metrics_;  // last: unregisters before the state it reads
 };
 
 }  // namespace pathdump

@@ -26,14 +26,6 @@ bool SampleThisInsert() {
   return (++n & kTraceSampleMask) == 0;
 }
 
-// Process-wide resident level across every live Tib (Gauge::Add deltas,
-// never Set — instances each contribute their accounted bytes and take
-// them back on eviction/Clear/destruction).
-Gauge* ResidentGauge() {
-  static Gauge* g = MetricsRegistry::Global().GetGauge("tib.bytes_resident");
-  return g;
-}
-
 // On-disk layout: 16-byte header then fixed-size rows.
 constexpr uint32_t kTibMagic = 0x50445442;  // "PDTB"
 constexpr uint32_t kTibVersion = 1;
@@ -97,17 +89,15 @@ bool CompactPath::ContainsSwitch(SwitchId s) const {
   return false;
 }
 
-Tib::Tib(TibOptions options) : options_(options) {
+Tib::Tib(TibOptions options)
+    : options_(options), metrics_([this](MetricsSnapshot& snap) {
+        snap.gauges["tib.bytes_resident"] +=
+            int64_t(resident_bytes_.load(std::memory_order_acquire));
+      }) {
   shards_.resize(ResolveShardCount(options_.num_shards));
   for (auto& s : shards_) {
     s = std::make_unique<Shard>();
   }
-}
-
-Tib::~Tib() {
-  // Return this instance's contribution to the process-wide level so the
-  // gauge tracks live TIBs only.
-  ResidentGauge()->Add(-int64_t(resident_bytes_.load(std::memory_order_acquire)));
 }
 
 void Tib::ForEachShardParallel(const std::function<void(size_t)>& fn) const {
@@ -166,7 +156,6 @@ void Tib::Insert(const TibRecord& rec) {
   inserted_.fetch_add(1, std::memory_order_relaxed);
   const size_t per_record = PerRecordBytes();
   resident_bytes_.fetch_add(per_record, std::memory_order_acq_rel);
-  ResidentGauge()->Add(int64_t(per_record));
   // Standing-query accumulators ride the shard lock already held here:
   // the hook table is only ever swapped under all shard locks, so this
   // read is race-free, and per-shard partials need no lock of their own.
@@ -243,7 +232,6 @@ void Tib::RetireFrontLocked(Shard& s) {
   segments_retired_.fetch_add(1, std::memory_order_relaxed);
   const size_t bytes = n * PerRecordBytes();
   resident_bytes_.fetch_sub(bytes, std::memory_order_acq_rel);
-  ResidentGauge()->Add(-int64_t(bytes));
   retired_ctr->Add();
   evicted_ctr->Add(n);
   s.segments.pop_front();
@@ -606,7 +594,6 @@ int64_t Tib::LoadFrom(const std::string& path) {
   for (const auto& sp : shards_) {
     locks.emplace_back(sp->mu);
   }
-  const size_t old_resident = resident_bytes_.load(std::memory_order_acquire);
   for (const auto& sp : shards_) {
     sp->segments.clear();
     sp->base_seq = 0;
@@ -635,7 +622,6 @@ int64_t Tib::LoadFrom(const std::string& path) {
   current_epoch_.store(1, std::memory_order_release);
   const size_t new_resident = rows.size() * PerRecordBytes();
   resident_bytes_.store(new_resident, std::memory_order_release);
-  ResidentGauge()->Add(int64_t(new_resident) - int64_t(old_resident));
   return int64_t(rows.size());
 }
 
@@ -646,7 +632,6 @@ void Tib::Clear() {
   for (const auto& sp : shards_) {
     locks.emplace_back(sp->mu);
   }
-  const size_t old_resident = resident_bytes_.load(std::memory_order_acquire);
   for (const auto& sp : shards_) {
     sp->segments.clear();
     sp->base_seq = 0;
@@ -660,7 +645,6 @@ void Tib::Clear() {
   epochs_sealed_.store(0, std::memory_order_relaxed);
   current_epoch_.store(1, std::memory_order_release);
   resident_bytes_.store(0, std::memory_order_release);
-  ResidentGauge()->Add(-int64_t(old_resident));
 }
 
 }  // namespace pathdump

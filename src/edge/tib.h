@@ -67,6 +67,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/types.h"
 
 namespace pathdump {
@@ -181,9 +182,10 @@ struct TibOptions {
 };
 
 // Point-in-time accounting of one Tib's segmented store.  Exact per
-// instance (the registry metrics tib.bytes_resident / tib.segments_retired
-// / tib.evicted_records hold process-wide totals across instances);
-// retained_records == inserted_records - evicted_records always.
+// instance (the registry gauge tib.bytes_resident sums resident_bytes
+// over live instances; tib.segments_retired / tib.evicted_records are
+// process-wide totals); retained_records == inserted_records -
+// evicted_records always.
 struct TibMemoryStats {
   size_t resident_bytes = 0;       // accounted bytes over retained records
   size_t retained_records = 0;     // records currently queryable
@@ -208,8 +210,6 @@ class Tib {
 
   // Locks exactly the owning shard.
   void Insert(const TibRecord& rec);
-
-  ~Tib();
 
   size_t size() const { return count_.load(std::memory_order_acquire); }
   size_t shard_count() const { return shards_.size(); }
@@ -449,6 +449,11 @@ class Tib {
   std::atomic<uint64_t> evicted_{0};
   std::atomic<uint64_t> segments_retired_{0};
   std::atomic<uint64_t> epochs_sealed_{0};
+  // Reports resident_bytes_ as the "tib.bytes_resident" gauge.  The
+  // tallies above stay registry handles ("tib.segments_retired",
+  // "tib.evicted_records", "tib.epochs_sealed"): Clear and LoadFrom reset
+  // them, and a counter pulled from them would go backwards.
+  MetricsSource metrics_;
 };
 
 }  // namespace pathdump

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "src/common/metrics.h"
 #include "src/transport/wire.h"
 
 namespace pathdump {
@@ -34,33 +33,25 @@ FaultInjector::FaultInjector(const FaultInjectorConfig& config)
     : config_(config), rng_(config.seed, /*stream=*/0xFA017u) {}
 
 FaultInjector::Action FaultInjector::Next() {
-  static Counter* m_drop = MetricsRegistry::Global().GetCounter("fault.injected_drop");
-  static Counter* m_corrupt = MetricsRegistry::Global().GetCounter("fault.injected_corrupt");
-  static Counter* m_delay = MetricsRegistry::Global().GetCounter("fault.injected_delay");
-  static Counter* m_dup = MetricsRegistry::Global().GetCounter("fault.injected_dup");
   const uint32_t draw = rng_.UniformInt(10'000);
   uint32_t edge = config_.drop_per_10k;
   if (draw < edge) {
     ++counts_.dropped;
-    m_drop->Add();
     return Action::kDrop;
   }
   edge += config_.corrupt_per_10k;
   if (draw < edge) {
     ++counts_.corrupted;
-    m_corrupt->Add();
     return Action::kCorrupt;
   }
   edge += config_.delay_per_10k;
   if (draw < edge) {
     ++counts_.delayed;
-    m_delay->Add();
     return Action::kDelay;
   }
   edge += config_.dup_per_10k;
   if (draw < edge) {
     ++counts_.duplicated;
-    m_dup->Add();
     return Action::kDup;
   }
   return Action::kNone;

@@ -21,8 +21,10 @@
 // kSnapshot recovery traffic: the injector models a lossy data path, and
 // exempting the recovery channel keeps every chaos run convergent — a
 // dropped snapshot would wedge a stream with no further signal to
-// re-trigger it.  Each fault increments fault.injected_{drop,corrupt,
-// delay,dup}; the seeded PCG32 stream makes a run exactly reproducible.
+// re-trigger it.  Each fault increments counts(), which the owning
+// ShmAgentClient reports to the metrics registry as fault.injected_{drop,
+// corrupt,delay,dup}; the seeded PCG32 stream makes a run exactly
+// reproducible.
 //
 // Configuration: explicit (tests) or from the environment (agent_worker):
 //   PATHDUMP_FAULT_SEED     u64 seed (default 1)
@@ -66,8 +68,8 @@ class FaultInjector {
 
   explicit FaultInjector(const FaultInjectorConfig& config);
 
-  // One draw for one data-plane frame.  Counts the chosen fault in the
-  // metrics registry and in counts().
+  // One draw for one data-plane frame.  Counts the chosen fault in
+  // counts().
   Action Next();
 
   // Flips one pseudo-random bit of the frame's payload (never the first

@@ -65,18 +65,30 @@ TransportHub::TransportHub(Controller* controller, SubscriptionManager* manager,
       prefix_(options_.shm_prefix.empty()
                   ? "/pathdump." + std::to_string(getpid()) + "."
                   : options_.shm_prefix),
-      alarm_sink_(controller->MakeAlarmSink()) {
+      alarm_sink_(controller->MakeAlarmSink()),
+      metrics_([this](MetricsSnapshot& snap) {
+        const TransportStats s = stats();
+        snap.counters["transport.frames"] += s.frames;
+        snap.counters["transport.bytes"] += s.bytes;
+        snap.counters["transport.deltas"] += s.deltas;
+        snap.counters["transport.alarms"] += s.alarms;
+        snap.counters["transport.acks"] += s.acks;
+        snap.counters["transport.snapshots"] += s.snapshots;
+        snap.counters["transport.decode_errors"] += s.decode_errors;
+        snap.counters["transport.peers_rejoined"] += s.peers_rejoined;
+        snap.counters["transport.peers_gave_up"] += s.peers_gave_up;
+        snap.counters["transport.resync_requests"] += s.resync_requests;
+        snap.counters["transport.stale_shm_reclaimed"] += s.stale_shm_reclaimed;
+        snap.gauges["transport.peers_dead"] += int64_t(s.peers_dead);
+      }) {
   if (options_.backend == TransportOptions::Backend::kSharedMemory) {
     if (options_.sweep_stale_shm_on_start) {
       // Reclaim segments a SIGKILLed earlier fleet left in /dev/shm.
       // Dead-owner mode only: a parallel suite's live segments (their
       // controller pid answers kill(pid, 0)) are never touched.
-      static Counter* reclaimed =
-          MetricsRegistry::Global().GetCounter("transport.stale_shm_reclaimed");
       const size_t n = CleanupShmByPrefix("/pathdump.", /*only_dead_owners=*/true);
       if (n > 0) {
         stale_shm_reclaimed_.store(n, std::memory_order_release);
-        reclaimed->Add(n);
         std::fprintf(stderr, "[transport] startup sweep reclaimed %zu stale shm segment(s)\n",
                      n);
       }
@@ -459,8 +471,6 @@ bool TransportHub::WaitForPeerLive(HostId host, int64_t timeout_us) {
 }
 
 void TransportHub::RequestResync(uint64_t id, HostId host) {
-  static Counter* m_requests =
-      MetricsRegistry::Global().GetCounter("transport.resync_requests");
   const Peer* peer = FindPeer(host);
   if (peer == nullptr) {
     return;
@@ -473,7 +483,6 @@ void TransportHub::RequestResync(uint64_t id, HostId host) {
   EncodeResyncRequestFrame(id, frame);
   if (PushCommand(*segment, frame)) {
     resync_requests_.fetch_add(1, std::memory_order_acq_rel);
-    m_requests->Add();
     Tracer::Global().Record("resync.request", Tracer::Global().NowUs(), 0,
                             TraceKeys{id, host, 0});
   }
@@ -529,21 +538,13 @@ void TransportHub::OnPeerRejoined(Peer& peer) {
 }
 
 void TransportHub::CountError(WireError err) {
-  static Counter* errors = MetricsRegistry::Global().GetCounter("transport.decode_errors");
   const size_t idx = size_t(err);
   if (idx < 8) {
     err_by_kind_[idx].fetch_add(1, std::memory_order_acq_rel);
-    errors->Add();
   }
 }
 
 void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
-  static Counter* m_deltas = MetricsRegistry::Global().GetCounter("transport.deltas");
-  static Counter* m_alarms = MetricsRegistry::Global().GetCounter("transport.alarms");
-  static Counter* m_acks = MetricsRegistry::Global().GetCounter("transport.acks");
-  static Counter* m_snapshots = MetricsRegistry::Global().GetCounter("transport.snapshots");
-  static Counter* m_rejoined =
-      MetricsRegistry::Global().GetCounter("transport.peers_rejoined");
   switch (frame.type) {
     case FrameType::kHello: {
       // A rejoin is a Hello from a peer we already knew: either we
@@ -565,7 +566,6 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
                             std::memory_order_release);
         peer.state.store(PeerState::kLive, std::memory_order_release);
         peers_rejoined_.fetch_add(1, std::memory_order_acq_rel);
-        m_rejoined->Add();
         OnPeerRejoined(peer);
       } else {
         peer.state.store(PeerState::kLive, std::memory_order_release);
@@ -574,7 +574,6 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
     }
     case FrameType::kSnapshot: {
       snapshots_.fetch_add(1, std::memory_order_acq_rel);
-      m_snapshots->Add();
       TraceScope span("reactor.snapshot", TraceKeys{frame.delta.subscription_id,
                                                     frame.delta.host, frame.delta.epoch});
       manager_->SubmitDelta(std::move(frame.delta));
@@ -582,7 +581,6 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
     }
     case FrameType::kQueryDelta: {
       deltas_.fetch_add(1, std::memory_order_acq_rel);
-      m_deltas->Add();
       // Keys must be captured before the delta is moved into the manager.
       TraceScope span("reactor.pop", TraceKeys{frame.delta.subscription_id,
                                               frame.delta.host, frame.delta.epoch});
@@ -591,12 +589,10 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
     }
     case FrameType::kAlarm:
       alarms_.fetch_add(1, std::memory_order_acq_rel);
-      m_alarms->Add();
       alarm_sink_(frame.alarm);
       break;
     case FrameType::kAck: {
       acks_.fetch_add(1, std::memory_order_acq_rel);
-      m_acks->Add();
       // Tokens ascend; keep the max in case acks arrive reordered
       // across a restart.
       uint64_t prev = peer.last_ack.load(std::memory_order_relaxed);
@@ -618,13 +614,10 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
 }
 
 size_t TransportHub::DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint8_t>& buf) {
-  static Counter* m_frames = MetricsRegistry::Global().GetCounter("transport.frames");
-  static Counter* m_bytes = MetricsRegistry::Global().GetCounter("transport.bytes");
   ShmSpscRing& ring = segment.data_ring();
   size_t dispatched = 0;
   while (ring.Pop(buf)) {
     bytes_.fetch_add(buf.size(), std::memory_order_acq_rel);
-    m_bytes->Add(buf.size());
     DecodedFrame frame;
     const WireError err = DecodeFrame(buf.data(), buf.size(), &frame);
     if (err != WireError::kOk) {
@@ -635,7 +628,6 @@ size_t TransportHub::DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint
       continue;
     }
     frames_.fetch_add(1, std::memory_order_acq_rel);
-    m_frames->Add();
     Dispatch(peer, std::move(frame));
     ++dispatched;
   }
@@ -677,21 +669,16 @@ void TransportHub::ReactorLoop() {
         const uint32_t pid = peer->pid.load(std::memory_order_acquire);
         const bool corrupt = segment->data_ring().corrupt();
         if (corrupt || (pid != 0 && !PidAlive(pid) && segment->data_ring().empty())) {
-          static Counter* dead = MetricsRegistry::Global().GetCounter("transport.peers_dead");
           peer->dead.store(true, std::memory_order_release);
           peer->state.store(PeerState::kDead, std::memory_order_release);
-          dead->Add();
         }
       }
       // A restarted peer whose new incarnation never said Hello is
       // eventually given up on rather than watched forever.
       if (state == PeerState::kRejoining &&
           NowUs() > peer->rejoin_deadline_us.load(std::memory_order_acquire)) {
-        static Counter* gave_up =
-            MetricsRegistry::Global().GetCounter("transport.peers_gave_up");
         peer->state.store(PeerState::kGaveUp, std::memory_order_release);
         peers_gave_up_.fetch_add(1, std::memory_order_acq_rel);
-        gave_up->Add();
       }
     }
     if (dispatched == 0) {
@@ -711,6 +698,18 @@ void TransportHub::ReactorLoop() {
 }
 
 // --- ShmAgentClient ---
+
+ShmAgentClient::ShmAgentClient(std::unique_ptr<ShmSegment> segment, int64_t push_timeout_us)
+    : segment_(std::move(segment)),
+      push_timeout_us_(push_timeout_us),
+      metrics_([this](MetricsSnapshot& snap) {
+        // Takes send_mu_: a snapshot waits out a push in progress.
+        const FaultInjector::Counts c = fault_counts();
+        snap.counters["fault.injected_drop"] += c.dropped;
+        snap.counters["fault.injected_corrupt"] += c.corrupted;
+        snap.counters["fault.injected_delay"] += c.delayed;
+        snap.counters["fault.injected_dup"] += c.duplicated;
+      }) {}
 
 std::unique_ptr<ShmAgentClient> ShmAgentClient::Open(const std::string& name,
                                                      int64_t push_timeout_us) {
@@ -750,6 +749,7 @@ FaultInjector::Counts ShmAgentClient::fault_counts() const {
   std::lock_guard<std::mutex> lock(send_mu_);
   return injector_ != nullptr ? injector_->counts() : FaultInjector::Counts{};
 }
+
 
 bool ShmAgentClient::PushRaw(const std::vector<uint8_t>& frame) {
   if (gave_up_.load(std::memory_order_acquire)) {

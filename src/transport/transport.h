@@ -74,6 +74,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/types.h"
 #include "src/edge/alarm.h"
 #include "src/edge/edge_agent.h"
@@ -146,7 +147,7 @@ struct TransportStats {
   uint64_t peers = 0;
   uint64_t peers_hello = 0;  // peers that completed the Hello handshake
   uint64_t peers_bye = 0;    // graceful goodbyes
-  uint64_t peers_dead = 0;   // detected dead without a Bye
+  uint64_t peers_dead = 0;   // dead right now (no Bye); a rejoin clears it
   // Crash recovery.
   uint64_t peers_rejoining = 0;      // currently in kRejoining (gauge)
   uint64_t peers_rejoined = 0;       // completed rejoin handshakes, cumulative
@@ -330,7 +331,8 @@ class TransportHub {
   // so stats() stays cumulative across incarnations.
   std::atomic<uint64_t> retired_seq_gaps_{0}, retired_blocked_pushes_{0};
 
-  std::thread reactor_;  // last member: joins before state above dies
+  std::thread reactor_;  // joined by the destructor, before state above dies
+  MetricsSource metrics_;  // last: unregisters before the state it reads
 };
 
 // Agent-process side of one shm channel pair.  Single-threaded use per
@@ -352,6 +354,8 @@ class ShmAgentClient {
   // Alarm frames may be dropped, corrupted, delayed (reordered), or
   // duplicated per its seeded config.  Snapshot and control frames are
   // never faulted — recovery traffic must converge.
+  // Install once, before traffic: the fault.injected_* counters are read
+  // from the installed injector's counts.
   void SetFaultInjector(const FaultInjectorConfig& config);
   FaultInjector::Counts fault_counts() const;
 
@@ -382,8 +386,7 @@ class ShmAgentClient {
   ShmSegment& segment() { return *segment_; }
 
  private:
-  explicit ShmAgentClient(std::unique_ptr<ShmSegment> segment, int64_t push_timeout_us)
-      : segment_(std::move(segment)), push_timeout_us_(push_timeout_us) {}
+  explicit ShmAgentClient(std::unique_ptr<ShmSegment> segment, int64_t push_timeout_us);
 
   // All Push* helpers run under send_mu_ with the frame in scratch_.
   bool PushFrame();          // verbatim; flushes a delayed frame first
@@ -399,6 +402,7 @@ class ShmAgentClient {
   std::vector<uint8_t> delayed_;             // stashed frame (kDelay); send_mu_
   std::atomic<bool> gave_up_{false};
   uint64_t cmd_decode_errors_ = 0;
+  MetricsSource metrics_;  // last: unregisters before the state it reads
 };
 
 }  // namespace transport

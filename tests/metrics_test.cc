@@ -11,6 +11,10 @@
 //     snapshot diff whose pipeline counters are internally consistent
 //     (produced == folded) and (b) the full tick -> take_delta -> fold ->
 //     materialize span chain carrying matching (sub, host, epoch) keys.
+//  6. Pulled sources — the registry sums live instances' stats (the
+//     depth gauge of two pipelines is their summed queue), keeps
+//     destroyed instances' counters, drops their gauges, and stays
+//     monotone while instances come and go under concurrent snapshots.
 //
 // Registry values are process-wide totals shared by every test in this
 // binary, so every assertion diffs two snapshots instead of reading
@@ -18,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +32,7 @@
 #include "src/apps/traffic_measure.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
+#include "src/controller/alarm_pipeline.h"
 #include "src/controller/controller.h"
 #include "src/controller/subscription.h"
 #include "src/edge/edge_agent.h"
@@ -38,6 +46,11 @@ namespace {
 uint64_t CounterIn(const MetricsSnapshot& snap, const std::string& name) {
   auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+int64_t GaugeIn(const MetricsSnapshot& snap, const std::string& name) {
+  auto it = snap.gauges.find(name);
+  return it == snap.gauges.end() ? 0 : it->second;
 }
 
 // --- 1. Concurrent recording ---
@@ -253,6 +266,118 @@ TEST(EpochPipeline, SnapshotConsistentAndSpanChainComplete) {
     }
   }
   EXPECT_TRUE(materialized);
+}
+
+// --- 6. Pulled sources ---
+
+TEST(MetricsSources, TwoLivePipelinesSumAndDestroyedOnesKeepTheirCounters) {
+  constexpr int kAlarms = 6;
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  std::latch entered(2);  // each pipeline's drain is inside its subscriber
+  std::latch release(1);
+  AlarmPipelineStats total;
+  {
+    AlarmPipelineOptions opts;
+    opts.max_batch = 1;
+    AlarmPipeline a(opts);
+    AlarmPipeline b(opts);
+    for (AlarmPipeline* p : {&a, &b}) {
+      p->Subscribe([&](const Alarm& alarm) {
+        if (alarm.seq == 0) {
+          entered.count_down();
+        }
+        release.wait();
+      });
+      for (int i = 0; i < kAlarms; ++i) {
+        Alarm alarm;
+        alarm.host = HostId(i);
+        EXPECT_TRUE(p->Submit(alarm));
+      }
+    }
+    entered.wait();
+
+    // Both drains hold their first alarm; the rest are queued.
+    const AlarmPipelineStats sa = a.stats();
+    const AlarmPipelineStats sb = b.stats();
+    const MetricsSnapshot live = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(GaugeIn(live, "alarm.channel.depth") - GaugeIn(before, "alarm.channel.depth"),
+              2 * (kAlarms - 1));
+    const MetricsSnapshot diff = live.Diff(before);
+    EXPECT_EQ(CounterIn(diff, "alarm.channel.submitted"), sa.submitted + sb.submitted);
+    EXPECT_EQ(CounterIn(diff, "alarm.channel.submitted"), uint64_t(2 * kAlarms));
+    EXPECT_EQ(CounterIn(diff, "alarm.channel.batches"), sa.batches + sb.batches);
+    EXPECT_EQ(CounterIn(diff, "alarm.delivered"), sa.delivered + sb.delivered);
+    EXPECT_EQ(CounterIn(diff, "alarm.suppressed"), sa.suppressed + sb.suppressed);
+
+    release.count_down();
+    a.Flush();
+    b.Flush();
+    total.submitted = a.stats().submitted + b.stats().submitted;
+    total.delivered = a.stats().delivered + b.stats().delivered;
+    total.batches = a.stats().batches + b.stats().batches;
+  }
+
+  // Destroyed: the counters keep the final totals, the gauge drops out.
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  const MetricsSnapshot diff = after.Diff(before);
+  EXPECT_EQ(total.submitted, uint64_t(2 * kAlarms));
+  EXPECT_EQ(CounterIn(diff, "alarm.channel.submitted"), total.submitted);
+  EXPECT_EQ(CounterIn(diff, "alarm.channel.processed"), total.submitted);
+  EXPECT_EQ(CounterIn(diff, "alarm.channel.batches"), total.batches);
+  EXPECT_EQ(CounterIn(diff, "alarm.delivered"), total.delivered);
+  EXPECT_EQ(GaugeIn(after, "alarm.channel.depth"), GaugeIn(before, "alarm.channel.depth"));
+}
+
+TEST(MetricsSources, SnapshotsStayMonotoneWhileSourcesComeAndGo) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  constexpr uint64_t kPerSource = 3;
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot().Diff(before);
+      const uint64_t now = CounterIn(snap, "test.source_churn");
+      EXPECT_GE(now, last);
+      last = now;
+      const int64_t live = GaugeIn(snap, "test.source_churn_live");
+      EXPECT_GE(live, 0);
+      EXPECT_LE(live, kThreads);
+    }
+  });
+  std::vector<std::thread> churners;
+  for (int t = 0; t < kThreads; ++t) {
+    churners.emplace_back([t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        std::atomic<uint64_t> events{0};
+        MetricsSource source([&events](MetricsSnapshot& snap) {
+          snap.counters["test.source_churn"] += events.load(std::memory_order_relaxed);
+          snap.gauges["test.source_churn_live"] += 1;
+        });
+        for (uint64_t e = 0; e < kPerSource; ++e) {
+          events.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (t == 0 && i % 50 == 0) {
+          // A real component too: its channel and drain thread churn
+          // alongside the bare sources.
+          AlarmPipeline pipeline;
+          pipeline.Submit(Alarm{});
+        }
+      }
+    });
+  }
+  for (auto& th : churners) {
+    th.join();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  const MetricsSnapshot diff = after.Diff(before);
+  EXPECT_EQ(CounterIn(diff, "test.source_churn"), uint64_t(kThreads) * kPerThread * kPerSource);
+  EXPECT_EQ(GaugeIn(after, "test.source_churn_live"), 0);
+  EXPECT_EQ(CounterIn(diff, "alarm.channel.submitted"), CounterIn(diff, "alarm.delivered"));
 }
 
 }  // namespace

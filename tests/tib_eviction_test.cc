@@ -262,8 +262,14 @@ TEST(TibEvictionCeiling, StormNeverExceedsCeilingAndAccountingIsExact) {
   // insert-side overflow check the level must stay under the ceiling at
   // EVERY sample point, not just at boundaries.
   opt.max_memory_bytes = per_record * size_t(kPerEpoch) * 6;
-  const int64_t gauge_before =
-      MetricsRegistry::Global().GetGauge("tib.bytes_resident")->value();
+  // tib.bytes_resident is pulled from live TIBs at snapshot time; it has
+  // no handle to read.
+  auto resident_gauge = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    auto it = snap.gauges.find("tib.bytes_resident");
+    return it == snap.gauges.end() ? int64_t(0) : it->second;
+  };
+  const int64_t gauge_before = resident_gauge();
   const uint64_t retired_before =
       MetricsRegistry::Global().GetCounter("tib.segments_retired")->value();
   const uint64_t evicted_before =
@@ -286,9 +292,7 @@ TEST(TibEvictionCeiling, StormNeverExceedsCeilingAndAccountingIsExact) {
       ASSERT_EQ(st.retained_records, tib.size());
       // The registry gauge tracks this instance's level exactly (diffed
       // against the pre-test level — other tests' TIBs come and go).
-      EXPECT_EQ(MetricsRegistry::Global().GetGauge("tib.bytes_resident")->value() -
-                    gauge_before,
-                int64_t(tib.bytes_resident()));
+      EXPECT_EQ(resident_gauge() - gauge_before, int64_t(tib.bytes_resident()));
     }
     TibMemoryStats st = tib.MemoryStats();
     EXPECT_GT(st.evicted_records, uint64_t(kPerEpoch) * 40);  // the storm really churned
@@ -301,7 +305,7 @@ TEST(TibEvictionCeiling, StormNeverExceedsCeilingAndAccountingIsExact) {
               st.evicted_records);
   }
   // Destruction returns the instance's contribution to the gauge.
-  EXPECT_EQ(MetricsRegistry::Global().GetGauge("tib.bytes_resident")->value(), gauge_before);
+  EXPECT_EQ(resident_gauge(), gauge_before);
 }
 
 // --- 4. Typed misses for evicted ids/flows ---
