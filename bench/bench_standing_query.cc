@@ -8,8 +8,8 @@
 // sides on the same fleet and checks, at every epoch boundary, that the
 // materialized standing result is byte-identical to a fresh poll
 // Execute (exit 1 on any mismatch).  Covers all four standing kinds:
-// the per-flow pair (TopK, FlowSizeHistogram) in the main sections, the
-// per-record pair (FlowList, CountSummary) via the count identity check
+// the per-flow pair (TopK, FlowSizeHistogram) in the main sections,
+// FlowList and CountSummary via the count identity check
 // per epoch plus a dedicated FlowList section at the end.
 //
 // Env knobs (reduced in CI quick-bench):
@@ -60,7 +60,8 @@ int Main() {
   uint64_t topk_sub = SubscribeTopK(manager, tb->hosts, kTopK);
   uint64_t hist_sub =
       SubscribeFlowSizeDistribution(manager, tb->hosts, probe, TimeRange::All(), kBinWidth);
-  // The per-record kinds ride the same channel with RecordDelta payloads.
+  // The FlowList and CountSummary kinds ride the same channel; their
+  // deltas carry distinct (id, flow, path) items and one count pair.
   uint64_t list_sub = SubscribeFlowList(manager, tb->hosts, probe);
   uint64_t count_sub = SubscribeCountSummary(manager, tb->hosts, probe);
 
@@ -170,10 +171,10 @@ int Main() {
                 double(delta_bytes_this_epoch()) / 1e3, m.identical ? "yes" : "NO");
   }
 
-  bench::Section("standing FlowList: per-record deltas vs poll as the TIB doubles");
-  // The per-record kinds ship the filtered records themselves (id, flow,
-  // path, counts), so the per-epoch delta tracks the *increment* while
-  // the getFlows poll re-scans and re-dedups the whole TIB.  Identity at
+  bench::Section("standing FlowList: per-pair deltas vs poll as the TIB doubles");
+  // A FlowList delta ships the epoch's new distinct (id, flow, path)
+  // items, so it tracks the *increment* while the getFlows poll
+  // re-scans and re-dedups the whole TIB.  Identity at
   // every boundary gates the exit code like the per-flow kinds.
   std::printf("%-14s %10s %10s %10s %12s %10s\n", "TIB/agent", "fold(ms)", "mat(ms)", "poll(ms)",
               "delta(KB)", "identical");
@@ -206,7 +207,7 @@ int Main() {
               (unsigned long long)stats.deltas_submitted, (unsigned long long)stats.deltas_folded,
               (unsigned long long)stats.deltas_reordered,
               (unsigned long long)stats.deltas_orphaned);
-  std::printf("total delta wire bytes: %.1f KB, per-flow fold ops: %llu\n",
+  std::printf("total delta wire bytes: %.1f KB, fold updates: %llu\n",
               double(stats.delta_bytes) / 1e3, (unsigned long long)stats.flow_updates);
 
   bench::Section("shape check");

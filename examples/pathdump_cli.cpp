@@ -22,7 +22,7 @@
 // results are byte-identical at any worker count), --standing (serve
 // topk/flowlist from a standing subscription fed by epoch deltas during
 // the run instead of a full-scan poll; the result is byte-identical —
-// flowlist rides the per-record delta channel, topk the per-flow one),
+// flowlist deltas ship distinct (flow, path) items, topk per-flow sums),
 // --trace-out <path> (write the span ring as Chrome-trace JSON on exit;
 // open in chrome://tracing or Perfetto).
 
@@ -232,9 +232,9 @@ int main(int argc, char** argv) {
   if (cli.command == "flowlist") {
     FlowList list;
     if (cli.standing) {
-      // Epoch boundary: agents ship the filtered records (with their TIB
-      // insertion ids); the materialized first-appearance list must equal
-      // a full-scan poll byte for byte.
+      // Epoch boundary: agents ship their new distinct (flow, path) pairs
+      // with the smallest TIB insertion id of each; the materialized
+      // first-appearance list must equal a full-scan poll byte for byte.
       subscriptions.TickEpoch();
       list = FlowListStanding(subscriptions, standing_sub);
       FlowList poll = FlowsOnLinkAcrossHosts(controller, controller.registered_hosts(),

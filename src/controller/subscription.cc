@@ -186,19 +186,12 @@ void SubscriptionManager::Flush() { channel_.Flush(); }
 void SubscriptionManager::FoldReady(Subscription& sub, HostState& hs,
                                     const PendingDelta& delta, const TraceKeys& keys) {
   TraceScope span("fold", keys);
-  uint64_t updates;
-  if (sub.spec.IsRecordKind()) {
-    hs.records.Fold(sub.spec, delta.records);
-    updates = delta.records.items.size();
-  } else {
-    delta.payload.ApplyTo(hs.folded);
-    updates = delta.payload.items.size();
-  }
+  hs.folded.Merge(delta.payload);
   ++hs.next_epoch;
   ++sub.deltas_folded;
   sub.delta_bytes += delta.wire_bytes;
   deltas_folded_.fetch_add(1, std::memory_order_acq_rel);
-  flow_updates_.fetch_add(updates, std::memory_order_acq_rel);
+  flow_updates_.fetch_add(delta.payload.size(), std::memory_order_acq_rel);
   delta_bytes_.fetch_add(delta.wire_bytes, std::memory_order_acq_rel);
 }
 
@@ -230,8 +223,7 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         // (the snapshot already contains everything they carried), and
         // clear the stale mark.  Strict-epoch folding resumes from here.
         const TraceKeys keys{d.subscription_id, d.host, d.epoch};
-        hs.folded.clear();
-        hs.records = RecordFoldState{};
+        hs.folded = FoldState{};
         // Buffered stragglers end in the stale_discarded bucket — every
         // submitted delta lands in exactly one terminal bucket.
         stale_discarded_.fetch_add(hs.pending.size(), std::memory_order_acq_rel);
@@ -240,8 +232,7 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         hs.next_epoch = d.epoch;  // FoldReady advances it to d.epoch + 1
         snapshot_folds_.fetch_add(1, std::memory_order_acq_rel);
         const uint64_t t0 = Tracer::Global().NowUs();
-        FoldReady(sub, hs, PendingDelta{std::move(d.payload), std::move(d.records), wire_bytes},
-                  keys);
+        FoldReady(sub, hs, PendingDelta{std::move(d.payload), wire_bytes}, keys);
         Tracer::Global().Record("resync.fold", t0, Tracer::Global().NowUs() - t0, keys);
         continue;
       }
@@ -262,10 +253,7 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         // arrival order.  A duplicate of an already-buffered epoch is a
         // duplicate, not a reorder.
         bool inserted =
-            hs.pending
-                .emplace(d.epoch,
-                         PendingDelta{std::move(d.payload), std::move(d.records), wire_bytes})
-                .second;
+            hs.pending.emplace(d.epoch, PendingDelta{std::move(d.payload), wire_bytes}).second;
         if (inserted) {
           deltas_reordered_.fetch_add(1, std::memory_order_acq_rel);
         } else {
@@ -287,8 +275,7 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         continue;
       }
       const TraceKeys keys{d.subscription_id, d.host, d.epoch};
-      FoldReady(sub, hs, PendingDelta{std::move(d.payload), std::move(d.records), wire_bytes},
-                keys);
+      FoldReady(sub, hs, PendingDelta{std::move(d.payload), wire_bytes}, keys);
       // The arrival may have closed a gap — fold the now-contiguous run.
       for (auto pit = hs.pending.begin();
            pit != hs.pending.end() && pit->first == hs.next_epoch;) {
@@ -384,8 +371,7 @@ QueryResult SubscriptionManager::Materialize(uint64_t id) {
   // keep folding (a stalled fold backs the bounded queue up into the
   // epoch tickers).
   StandingQuerySpec spec;
-  std::vector<FlowBytesMap> folded;          // per-flow kinds, in host order
-  std::vector<RecordFoldState> rec_folded;   // record kinds, in host order
+  std::vector<FoldState> folded;  // in host order
   {
     std::lock_guard<std::mutex> state(state_mu_);
     auto it = subscriptions_.find(id);
@@ -399,32 +385,17 @@ QueryResult SubscriptionManager::Materialize(uint64_t id) {
       if (hit == sub.host_state.end()) {
         continue;
       }
-      if (spec.IsRecordKind()) {
-        // Copy only what materialization reads (items + count) — not
-        // the `seen` dedup index, which would roughly double the copy
-        // held under state_mu_.
-        RecordFoldState snap;
-        snap.flow_items = hit->second.records.flow_items;
-        snap.count = hit->second.records.count;
-        rec_folded.push_back(std::move(snap));
-      } else {
-        folded.push_back(hit->second.folded);
-      }
+      // Without the indexes, which would more than double the copy held
+      // under state_mu_.
+      folded.push_back(hit->second.folded.WithoutIndex());
     }
   }
   // The poll path's reduce, reproduced: per-host results merged
   // sequentially in host order (Controller::Execute phase 2).
   QueryResult merged;
-  if (spec.IsRecordKind()) {
-    for (const RecordFoldState& state : rec_folded) {
-      QueryResult host_result = MaterializeStandingRecords(spec, state);
-      MergeQueryResult(merged, host_result);
-    }
-  } else {
-    for (const FlowBytesMap& per_flow : folded) {
-      QueryResult host_result = MaterializeStandingResult(spec, per_flow);
-      MergeQueryResult(merged, host_result);
-    }
+  for (const FoldState& state : folded) {
+    QueryResult host_result = MaterializeStandingResult(spec, state);
+    MergeQueryResult(merged, host_result);
   }
   mat_us->Record(Tracer::Global().NowUs() - t0);
   return merged;

@@ -47,7 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/flow_delta.h"
 #include "src/common/metrics.h"
 #include "src/common/mpsc_channel.h"
 #include "src/common/trace.h"
@@ -80,7 +79,7 @@ struct SubscriptionManagerStats {
   uint64_t deltas_reordered = 0;  // arrived ahead of a missing epoch, buffered
   uint64_t deltas_orphaned = 0;   // for an unsubscribed/unknown subscription
   uint64_t delta_bytes = 0;       // wire bytes of folded deltas
-  uint64_t flow_updates = 0;      // per-flow fold operations
+  uint64_t flow_updates = 0;      // fold updates (FoldState::size of each folded delta)
   uint64_t blocked_enqueues = 0;  // Submit() calls that had to wait
   uint64_t batches = 0;           // drain pulls
   // Crash-recovery accounting.  Every submitted delta ends in exactly
@@ -151,8 +150,8 @@ class SubscriptionManager {
   void Flush();
 
   // Flushes, then materializes the standing result: per-host results
-  // (MaterializeStandingResult over the folded per-flow state) merged
-  // in host order — the poll Execute merge, byte for byte.  Unknown
+  // (MaterializeStandingResult over the folded state) merged in host
+  // order — the poll Execute merge, byte for byte.  Unknown
   // subscription ids yield monostate.
   QueryResult Materialize(uint64_t id);
 
@@ -195,14 +194,12 @@ class SubscriptionManager {
 
  private:
   struct PendingDelta {
-    FlowBytesDelta payload;  // per-flow kinds
-    RecordDelta records;     // record kinds
-    size_t wire_bytes = 0;   // the full QueryDelta's SerializedSize
+    FoldState payload;
+    size_t wire_bytes = 0;  // the full QueryDelta's SerializedSize
   };
   struct HostState {
     uint64_t next_epoch = 1;  // next epoch to fold
-    FlowBytesMap folded;      // materialized per-flow state (per-flow kinds)
-    RecordFoldState records;  // materialized record state (record kinds)
+    FoldState folded;         // every delta folded so far
     std::map<uint64_t, PendingDelta> pending;  // gapped arrivals by epoch
     // Deltas were lost; ordinary deltas are discarded until a snapshot
     // re-baselines the stream (see the crash-recovery section above).

@@ -203,8 +203,8 @@ class EdgeAgent {
   //
   // A registered standing query folds matching records inside
   // Tib::Insert (under the owning shard's lock) and, on an epoch tick,
-  // ships only the increment: the delta is merged with the
-  // deterministic ordered reduce, epoch-stamped, and handed to `sink`
+  // ships only the increment: the per-shard partials are merged,
+  // epoch-stamped, and handed to `sink`
   // (normally the controller's SubscriptionManager intake).  The sink
   // runs on the ticking thread with no agent lock held; it may be
   // called concurrently from concurrent tickers.
@@ -213,7 +213,8 @@ class EdgeAgent {
 
   // Registers the accumulator; returns a handle for EpochTickOne /
   // UnregisterStandingQuery.  Cost per subsequent insert: one filter
-  // check + one hash-map bump on matching records.
+  // check, plus FoldState::Add on matching records — one hash lookup
+  // (per-flow kinds, FlowList dedup) or two additions (CountSummary).
   int RegisterStandingQuery(uint64_t subscription_id, const StandingQuerySpec& spec,
                             DeltaSink sink);
   // Removes the accumulator and its TIB hook.  On return no further

@@ -8,123 +8,137 @@
 
 namespace pathdump {
 
-QueryResult MaterializeStandingResult(const StandingQuerySpec& spec,
-                                      const FlowBytesMap& per_flow) {
-  if (spec.kind == StandingQuerySpec::Kind::kTopK) {
-    // Finalize() imposes a total order, so the result does not depend on
-    // the map's iteration order.
-    TopKFlows out;
-    out.k = spec.k;
-    out.items.reserve(per_flow.size());
-    for (const auto& [flow, bytes] : per_flow) {
-      out.items.emplace_back(bytes, flow);
-    }
-    out.Finalize();
-    return out;
+FoldState FoldState::MergeShards(const std::vector<FoldState>& shards) {
+  FoldState out;
+  size_t flows = 0;
+  size_t items = 0;
+  for (const FoldState& s : shards) {
+    flows += s.flows.size();
+    items += s.flow_items.size();
   }
-  FlowSizeHistogram h;
-  h.bin_width = spec.bin_width;
-  for (const auto& [flow, bytes] : per_flow) {
-    h.bins[int64_t(bytes) / spec.bin_width] += 1;
-  }
-  return h;
-}
-
-void RecordFoldState::AddFlowItem(uint64_t id, const FiveTuple& flow, const CompactPath& path) {
-  std::vector<size_t>& bucket = seen[path.HashKey(FiveTupleHash{}(flow))];
-  for (size_t idx : bucket) {
-    FlowItem& existing = flow_items[idx];
-    if (existing.flow == flow && existing.path == path) {
-      existing.id = std::min(existing.id, id);
-      return;
-    }
-  }
-  bucket.push_back(flow_items.size());
-  flow_items.push_back(FlowItem{id, flow, path});
-}
-
-void RecordFoldState::Fold(const StandingQuerySpec& spec, const RecordDelta& delta) {
-  // Shipped paths come from CompactPath::ToPath (and the wire decoder
-  // rejects longer ones), so FromPath is lossless here.
-  for (const RecordDeltaItem& item : delta.items) {
-    Add(spec, item.id, item.flow, CompactPath::FromPath(item.path), item.bytes, item.pkts);
-  }
-}
-
-QueryResult MaterializeStandingRecords(const StandingQuerySpec& spec,
-                                       const RecordFoldState& state) {
-  if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
-    return state.count;
-  }
-  // First-appearance order across the whole TIB = ascending first id.
-  using FlowItem = RecordFoldState::FlowItem;
-  std::vector<const FlowItem*> ordered;
-  ordered.reserve(state.flow_items.size());
-  for (const FlowItem& item : state.flow_items) {
-    ordered.push_back(&item);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const FlowItem* a, const FlowItem* b) { return a->id < b->id; });
-  FlowList out;
-  out.flows.reserve(ordered.size());
-  for (const FlowItem* item : ordered) {
-    out.flows.push_back(Flow{item->flow, item->path.ToPath()});
+  out.flows.reserve(flows);
+  out.flow_items.reserve(items);
+  for (const FoldState& s : shards) {
+    out.flows.insert(out.flows.end(), s.flows.begin(), s.flows.end());
+    out.flow_items.insert(out.flow_items.end(), s.flow_items.begin(), s.flow_items.end());
+    out.count.bytes += s.count.bytes;
+    out.count.pkts += s.count.pkts;
   }
   return out;
 }
 
-QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec) {
-  if (spec.IsRecordKind()) {
-    std::vector<RecordFoldState> shards = tib.CollectShardPartials<RecordFoldState>(
-        [&spec](RecordFoldState& state, uint64_t id, const TibRecord& rec) {
-          if (spec.Matches(rec)) {
-            state.Add(spec, id, rec.flow, rec.path, rec.bytes, rec.pkts);
-          }
-        });
-    // Duplicates of a (flow, path) pair share a shard, so per-shard
-    // dedup is complete and the merge concatenates.  `seen` stays empty:
-    // materialization does not read it.
-    size_t total = 0;
-    for (const RecordFoldState& state : shards) {
-      total += state.flow_items.size();
-    }
-    RecordFoldState merged;
-    merged.flow_items.reserve(total);
-    for (const RecordFoldState& state : shards) {
-      merged.flow_items.insert(merged.flow_items.end(), state.flow_items.begin(),
-                               state.flow_items.end());
-      merged.count.bytes += state.count.bytes;
-      merged.count.pkts += state.count.pkts;
-    }
-    return MaterializeStandingRecords(spec, merged);
+void FoldState::Merge(const FoldState& increment) {
+  for (const FlowSum& sum : increment.flows) {
+    AddFlowSum(sum.flow, sum.bytes);
   }
-  std::vector<FlowBytesMap> shards = tib.CollectShardPartials<FlowBytesMap>(
-      [&spec](FlowBytesMap& per_flow, uint64_t, const TibRecord& rec) {
+  for (const FlowItem& item : increment.flow_items) {
+    AddFlowItem(item);
+  }
+  count.bytes += increment.count.bytes;
+  count.pkts += increment.count.pkts;
+}
+
+void FoldState::AddFlowItem(const FlowItem& item) {
+  const uint64_t key = item.path.HashKey(FiveTupleHash{}(item.flow));
+  for (auto [it, end] = item_index_.equal_range(key); it != end; ++it) {
+    FlowItem& existing = flow_items[it->second];
+    if (existing.flow == item.flow && existing.path == item.path) {
+      existing.id = std::min(existing.id, item.id);
+      return;
+    }
+  }
+  item_index_.emplace(key, flow_items.size());
+  flow_items.push_back(item);
+}
+
+size_t FoldState::SerializedSize(StandingQuerySpec::Kind kind) const {
+  switch (kind) {
+    case StandingQuerySpec::Kind::kTopK:
+    case StandingQuerySpec::Kind::kFlowSizeHistogram:
+      return kHeaderBytes + flows.size() * kFlowBytes;
+    case StandingQuerySpec::Kind::kFlowList: {
+      size_t bytes = kHeaderBytes;
+      for (const FlowItem& item : flow_items) {
+        bytes += kFlowItemFixedBytes + 4 * size_t(item.path.len);
+      }
+      return bytes;
+    }
+    case StandingQuerySpec::Kind::kCountSummary:
+      return kHeaderBytes + kCountBytes;
+  }
+  return kHeaderBytes;
+}
+
+FoldState FoldState::WithoutIndex() const {
+  FoldState out;
+  out.flows = flows;
+  out.flow_items = flow_items;
+  out.count = count;
+  return out;
+}
+
+QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FoldState& state) {
+  switch (spec.kind) {
+    case StandingQuerySpec::Kind::kTopK: {
+      // Finalize() imposes a total order, so the result does not depend
+      // on the order of the flows.
+      TopKFlows out;
+      out.k = spec.k;
+      out.items.reserve(state.flows.size());
+      for (const FoldState::FlowSum& sum : state.flows) {
+        out.items.emplace_back(sum.bytes, sum.flow);
+      }
+      out.Finalize();
+      return out;
+    }
+    case StandingQuerySpec::Kind::kFlowSizeHistogram: {
+      FlowSizeHistogram h;
+      h.bin_width = spec.bin_width;
+      for (const FoldState::FlowSum& sum : state.flows) {
+        h.bins[int64_t(sum.bytes) / spec.bin_width] += 1;
+      }
+      return h;
+    }
+    case StandingQuerySpec::Kind::kFlowList: {
+      // First-appearance order across the whole TIB = ascending first id.
+      using FlowItem = FoldState::FlowItem;
+      std::vector<const FlowItem*> ordered;
+      ordered.reserve(state.flow_items.size());
+      for (const FlowItem& item : state.flow_items) {
+        ordered.push_back(&item);
+      }
+      std::sort(ordered.begin(), ordered.end(),
+                [](const FlowItem* a, const FlowItem* b) { return a->id < b->id; });
+      FlowList out;
+      out.flows.reserve(ordered.size());
+      for (const FlowItem* item : ordered) {
+        out.flows.push_back(Flow{item->flow, item->path.ToPath()});
+      }
+      return out;
+    }
+    case StandingQuerySpec::Kind::kCountSummary:
+      return state.count;
+  }
+  return QueryResult{};
+}
+
+QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec) {
+  std::vector<FoldState> shards = tib.CollectShardPartials<FoldState>(
+      [&spec](FoldState& state, uint64_t id, const TibRecord& rec) {
         if (spec.Matches(rec)) {
-          FoldFlowBytes(per_flow, rec);
+          state.Add(spec, id, rec);
         }
       });
-  // Each flow hashes to exactly one shard: the maps are key-disjoint.
-  size_t total = 0;
-  for (const FlowBytesMap& m : shards) {
-    total += m.size();
-  }
-  FlowBytesMap merged;
-  merged.reserve(total);
-  for (const FlowBytesMap& m : shards) {
-    merged.insert(m.begin(), m.end());
-  }
-  return MaterializeStandingResult(spec, merged);
+  return MaterializeStandingResult(spec, FoldState::MergeShards(shards));
 }
 
 StandingQueryAccumulator::StandingQueryAccumulator(uint64_t subscription_id, HostId host,
                                                    const StandingQuerySpec& spec, Tib* tib)
-    : subscription_id_(subscription_id), host_(host), spec_(spec), tib_(tib) {
-  if (spec_.IsRecordKind()) {
-    record_partial_.resize(tib->shard_count());
-  } else {
-    partial_.resize(tib->shard_count());
-  }
+    : subscription_id_(subscription_id),
+      host_(host),
+      spec_(spec),
+      tib_(tib),
+      partial_(tib->shard_count()) {
   hook_id_ = tib_->AddInsertHook([this](size_t shard_index, uint64_t record_id,
                                         const TibRecord& rec) {
     OnInsert(shard_index, record_id, rec);
@@ -137,69 +151,33 @@ StandingQueryAccumulator::~StandingQueryAccumulator() {
   tib_->RemoveInsertHook(hook_id_);
 }
 
-void StandingQueryAccumulator::Accumulate(FlowBytesMap& partial, uint64_t,
-                                          const TibRecord& rec) {
-  FoldFlowBytes(partial, rec);
-}
-
-void StandingQueryAccumulator::Accumulate(std::vector<CompactRecordEntry>& partial,
-                                          uint64_t record_id, const TibRecord& rec) {
-  // Buffered in the stored compact form — no decode and no per-path
-  // allocation while the exclusive shard lock is held.
-  partial.push_back(CompactRecordEntry{record_id, rec.flow, rec.path, rec.bytes, rec.pkts});
-}
-
 void StandingQueryAccumulator::OnInsert(size_t shard_index, uint64_t record_id,
                                         const TibRecord& rec) {
-  if (!spec_.Matches(rec)) {
-    return;
+  if (spec_.Matches(rec)) {
+    partial_[shard_index].Add(spec_, record_id, rec);
   }
-  if (spec_.IsRecordKind()) {
-    Accumulate(record_partial_[shard_index], record_id, rec);
-  } else {
-    Accumulate(partial_[shard_index], record_id, rec);
-  }
-}
-
-template <typename Partial>
-std::vector<Partial> StandingQueryAccumulator::DrainShards(std::vector<Partial>& partials,
-                                                           bool rescan) {
-  std::vector<Partial> out(partials.size());
-  if (!rescan) {
-    tib_->ForEachShardExclusive([&](size_t si) { out[si].swap(partials[si]); });
-    return out;
-  }
-  tib_->ForEachShardRecordExclusive(
-      [&](size_t si) { partials[si].clear(); },
-      [&](size_t si, uint64_t record_id, const TibRecord& rec) {
-        if (spec_.Matches(rec)) {
-          Accumulate(out[si], record_id, rec);
-        }
-      });
-  return out;
 }
 
 QueryDelta StandingQueryAccumulator::Drain(bool rescan) {
+  std::vector<FoldState> shards(partial_.size());
+  if (rescan) {
+    tib_->ForEachShardRecordExclusive(
+        [&](size_t si) { partial_[si] = FoldState{}; },
+        [&](size_t si, uint64_t record_id, const TibRecord& rec) {
+          if (spec_.Matches(rec)) {
+            shards[si].Add(spec_, record_id, rec);
+          }
+        });
+  } else {
+    // A swap, not a copy: the shard lock is held for O(1), and the old
+    // partial (indexes included) is freed outside it.
+    tib_->ForEachShardExclusive([&](size_t si) { std::swap(shards[si], partial_[si]); });
+  }
   QueryDelta delta;
   delta.subscription_id = subscription_id_;
   delta.host = host_;
   delta.kind = spec_.kind;
-  if (!spec_.IsRecordKind()) {
-    std::vector<FlowBytesMap> shards = DrainShards(partial_, rescan);
-    delta.payload = FlowBytesDelta::FromShardMaps(shards);
-    return delta;
-  }
-  std::vector<std::vector<CompactRecordEntry>> shards = DrainShards(record_partial_, rescan);
-  // Decode paths here, with no lock held — once per shipped record,
-  // never inside Insert.
-  std::vector<std::vector<RecordDeltaItem>> decoded(shards.size());
-  for (size_t si = 0; si < shards.size(); ++si) {
-    decoded[si].reserve(shards[si].size());
-    for (const CompactRecordEntry& e : shards[si]) {
-      decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
-    }
-  }
-  delta.records = RecordDelta::FromShardBuffers(decoded);
+  delta.payload = FoldState::MergeShards(shards);
   return delta;
 }
 
@@ -219,8 +197,7 @@ std::optional<QueryDelta> StandingQueryAccumulator::TakeDelta() {
 
   std::lock_guard<std::mutex> tick(tick_mu_);
   QueryDelta delta = Drain(/*rescan=*/false);
-  const bool empty = spec_.IsRecordKind() ? delta.records.empty() : delta.payload.empty();
-  if (empty) {
+  if (delta.payload.empty()) {
     empty_ticks->Add();
     Tracer::Global().Record("standing.take_delta", t0, Tracer::Global().NowUs() - t0, keys);
     return std::nullopt;

@@ -1,4 +1,5 @@
-// Standing queries and polls: one query kernel, two schedules.
+// Standing queries and polls: one query kernel, one fold state, two
+// schedules.
 //
 // The paper's recurring debugging applications (traffic measurement,
 // load imbalance) re-poll the fleet, and every poll re-scans the full
@@ -8,25 +9,29 @@
 // only what changed.  Both schedules run one kernel:
 //
 //  * filter — StandingQuerySpec::Matches (range overlap + link match);
-//  * fold   — per-flow sums (FoldFlowBytes) for kTopK and
-//             kFlowSizeHistogram, per-record dedup/sums
-//             (RecordFoldState::Add) for kFlowList and kCountSummary;
-//  * materialize — MaterializeStandingResult / MaterializeStandingRecords.
+//  * fold   — FoldState::Add: per-flow byte sums for kTopK and
+//             kFlowSizeHistogram, distinct (flow, path) items with their
+//             smallest insertion id for kFlowList, byte/packet sums for
+//             kCountSummary;
+//  * materialize — MaterializeStandingResult.
 //
 //   standing: Tib::Insert ──(insert hook, under the shard lock)──▶
-//     per-shard partial ──(epoch tick: swap + reset, one shard lock at a
-//     time)──▶ epoch-stamped QueryDelta ──▶ controller fold (RecordFoldState
-//     / FlowBytesDelta::ApplyTo) ──▶ materialize
+//     per-shard FoldState ──(epoch tick: swap out, one shard lock at a
+//     time; MergeShards)──▶ epoch-stamped QueryDelta carrying one
+//     FoldState ──▶ controller FoldState::Merge ──▶ materialize
 //     (src/controller/subscription.h).
 //   poll: PollTib ──(shard-parallel scan under shared shard locks, every
-//     retained record filtered + folded)──▶ per-shard states ──(key-
-//     disjoint: concatenate or sum)──▶ materialize.
+//     retained record filtered + folded)──▶ per-shard FoldStates
+//     ──(MergeShards)──▶ materialize.
 //
-// Two delta shapes carry the standing increments: per-flow sums
-// (FlowBytesDelta, src/common/flow_delta.h) and per-record lists
-// (RecordDelta, src/common/record_delta.h) tagged with global insertion
-// ids, so the controller's fold replays the poll's first-appearance
-// order exactly.
+// One state type sits between filter and materialize everywhere: the
+// poll scan's per-shard state, the accumulator's per-shard partial, the
+// payload of a QueryDelta and the controller's per-host state.  A delta
+// is a fold increment, not a list of raw records: a FlowList epoch ships
+// its distinct (id, flow, path) items (a pair repeated within the epoch
+// ships once), a CountSummary epoch one (bytes, pkts) pair.  The choice
+// of kind is made in FoldState and in the wire codec
+// (src/transport/wire.cc), nowhere else.
 //
 // Determinism contract: at any epoch boundary, folding every delta
 // shipped so far equals a poll over the same records — at any shard
@@ -49,8 +54,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/flow_delta.h"
-#include "src/common/record_delta.h"
 #include "src/common/types.h"
 #include "src/edge/query.h"
 #include "src/edge/tib.h"
@@ -64,8 +67,8 @@ struct StandingQuerySpec {
   enum class Kind : uint8_t {
     kTopK = 0,               // per-flow sums -> TopKFlows
     kFlowSizeHistogram = 1,  // per-flow sums -> FlowSizeHistogram
-    kFlowList = 2,           // per-record   -> FlowList (getFlows)
-    kCountSummary = 3,       // per-record   -> CountSummary (getCount)
+    kFlowList = 2,           // distinct (flow, path) items -> FlowList (getFlows)
+    kCountSummary = 3,       // byte/packet sums -> CountSummary (getCount)
   };
 
   Kind kind = Kind::kTopK;
@@ -80,14 +83,6 @@ struct StandingQuerySpec {
   // filters once, at insert; a standing range is normally open-ended.
   TimeRange range = TimeRange::All();
 
-  // True for the kinds whose deltas carry records, not per-flow sums —
-  // one definition for the accumulator, the controller fold and the
-  // wire decoder.
-  static constexpr bool IsRecordKind(Kind of) {
-    return of == Kind::kFlowList || of == Kind::kCountSummary;
-  }
-  bool IsRecordKind() const { return IsRecordKind(kind); }
-
   // The record filter of every evaluation — insert hook, resync
   // snapshot and poll scan — so they can never disagree about which
   // records belong to the query.
@@ -98,17 +93,142 @@ struct StandingQuerySpec {
   friend bool operator==(const StandingQuerySpec&, const StandingQuerySpec&) = default;
 };
 
+// Per-flow byte totals keyed by flow, for callers that keep their own
+// per-flow reference (FoldState keeps its flows in a vector).
+using FlowBytesMap = std::unordered_map<FiveTuple, uint64_t, FiveTupleHash>;
+
+// The one state between filter and materialize, for every kind: a poll
+// scan's per-shard state, an accumulator's per-shard partial, a
+// QueryDelta's payload (one epoch's increment, or a snapshot's full
+// state) and the controller's per-host state.  Only the member of the
+// spec's kind is ever populated, so the merges run over all three
+// members and need no kind.  Flows and FlowList items are flat vectors
+// in append order; a private index finds an existing entry for Add and
+// Merge.
+struct FoldState {
+  struct FlowSum {
+    FiveTuple flow;
+    uint64_t bytes = 0;
+
+    friend bool operator==(const FlowSum&, const FlowSum&) = default;
+  };
+  struct FlowItem {
+    uint64_t id = 0;  // smallest TIB insertion id seen for the pair
+    FiveTuple flow;
+    CompactPath path;
+
+    friend bool operator==(const FlowItem&, const FlowItem&) = default;
+  };
+
+  // Wire framing of a payload (src/transport/wire.h): a 16-byte message
+  // header, then 21 bytes per flow (packed 5-tuple + byte sum), or per
+  // FlowList item an 8-byte id, the packed 5-tuple, a 1-byte path length
+  // and 4 bytes per switch, or one 16-byte (bytes, pkts) pair.
+  static constexpr size_t kHeaderBytes = 16;
+  static constexpr size_t kFlowBytes = 13 + 8;
+  static constexpr size_t kFlowItemFixedBytes = 8 + 13 + 1;
+  static constexpr size_t kCountBytes = 8 + 8;
+
+  std::vector<FlowSum> flows;        // kTopK, kFlowSizeHistogram: one per flow
+  std::vector<FlowItem> flow_items;  // kFlowList: one per distinct (flow, path)
+  CountSummary count;                // kCountSummary
+
+  // Folds one matching record.  Inline: a poll runs it once per matching
+  // record, an insert hook once per matching insert.
+  void Add(const StandingQuerySpec& spec, uint64_t id, const TibRecord& rec) {
+    switch (spec.kind) {
+      case StandingQuerySpec::Kind::kTopK:
+      case StandingQuerySpec::Kind::kFlowSizeHistogram:
+        // A zero-byte record still creates its flow's entry.
+        AddFlowSum(rec.flow, rec.bytes);
+        return;
+      case StandingQuerySpec::Kind::kFlowList:
+        AddFlowItem(FlowItem{id, rec.flow, rec.path});
+        return;
+      case StandingQuerySpec::Kind::kCountSummary:
+        // Every record is folded exactly once (a poll scans it once; a
+        // delta carries it in exactly one epoch), so this is a plain sum.
+        count.bytes += rec.bytes;
+        count.pkts += rec.pkts;
+        return;
+    }
+  }
+
+  // Merges per-shard states whose keys are disjoint (a flow picks its TIB
+  // shard, so duplicates of a flow or a (flow, path) pair share a shard):
+  // flows and FlowList items concatenate, counts sum, nothing is
+  // deduplicated.  The result has no index (nor has a decoded payload),
+  // so it is a merge source or a materialize input, never an Add/Merge
+  // target.
+  static FoldState MergeShards(const std::vector<FoldState>& shards);
+
+  // Folds a later increment into this state (the controller's per-epoch
+  // fold): per-flow bytes and counts sum, and a FlowList item is kept on
+  // its first occurrence with the smaller id.  Epochs fold in order and
+  // a pair's ids ascend within its shard, so the first occurrence
+  // normally carries the minimum; the minimum is kept regardless.
+  void Merge(const FoldState& increment);
+
+  // True when there is nothing to ship.  A count whose matches were all
+  // zero-byte, zero-packet records is empty, like no match at all.
+  bool empty() const {
+    return flows.empty() && flow_items.empty() && count == CountSummary{};
+  }
+
+  // Fold updates this state carries: one per flow or FlowList item, and
+  // one for a nonzero count.
+  size_t size() const {
+    return flows.size() + flow_items.size() + (count == CountSummary{} ? 0 : 1);
+  }
+
+  // Bytes this state occupies on the wire as a `kind` payload.
+  size_t SerializedSize(StandingQuerySpec::Kind kind) const;
+
+  // A copy of what materialization reads, without the indexes.
+  FoldState WithoutIndex() const;
+
+  // Equal contents in equal order; the indexes are derived, so they are
+  // not compared.
+  friend bool operator==(const FoldState& a, const FoldState& b) {
+    return a.flows == b.flows && a.flow_items == b.flow_items && a.count == b.count;
+  }
+
+ private:
+  void AddFlowSum(const FiveTuple& flow, uint64_t bytes) {
+    const auto [it, fresh] = flow_index_.try_emplace(flow, flows.size());
+    if (fresh) {
+      flows.push_back(FlowSum{flow, bytes});
+    } else {
+      flows[it->second].bytes += bytes;
+    }
+  }
+  // kFlowList: first-occurrence dedup of (flow, path), keeping the
+  // smaller id.
+  void AddFlowItem(const FlowItem& item);
+
+  // flow -> index into flows.
+  std::unordered_map<FiveTuple, size_t, FiveTupleHash> flow_index_;
+  // Path hash seeded by flow -> index into flow_items, one entry per
+  // item.  The hash only buckets; equality is exact, so a 64-bit
+  // collision cannot change the answer.
+  std::unordered_multimap<uint64_t, size_t> item_index_;
+};
+
+// Materializes one host's result from its fold state (a poll's merged
+// scan or a subscription's folded deltas).
+QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FoldState& state);
+
 // One epoch's increment from one host, shipped over the subscription
 // channel.  Epochs are 1-based and contiguous per (subscription, host);
-// empty epochs ship nothing (and consume no epoch number), so per-epoch
-// wire cost scales with the delta, not with the TIB.
+// empty increments (FoldState::empty) ship nothing and consume no epoch
+// number, so per-epoch wire cost scales with the delta, not with the TIB.
 struct QueryDelta {
   uint64_t subscription_id = 0;
   HostId host = kInvalidNode;
   // The subscription's kind, stamped by the accumulator.  Redundant with
   // the manager's own spec for in-process delivery, but load-bearing on
   // the wire (src/transport/wire.cc): the frame decoder picks the payload
-  // shape from this byte instead of guessing from content.
+  // layout from this byte instead of guessing from content.
   StandingQuerySpec::Kind kind = StandingQuerySpec::Kind::kTopK;
   // Per-(subscription, host) epoch number, stamped by the accumulator.
   uint64_t epoch = 0;
@@ -123,93 +243,27 @@ struct QueryDelta {
   // EMPTY snapshot still ships and still consumes an epoch number — the
   // receiver needs the baseline even when the baseline is "nothing".
   bool snapshot = false;
-  // Exactly one of these is populated, by the subscription's kind:
-  // per-flow sums for kTopK/kFlowSizeHistogram, records for the rest.
-  FlowBytesDelta payload;
-  RecordDelta records;
+  FoldState payload;
 
-  // Bytes on the wire: the populated payload plus the subscription/host/
-  // epoch framing (8 + 4 + 8, padded to 24 like fixed fields elsewhere).
-  size_t SerializedSize() const {
-    return 24 + (records.empty() ? payload.SerializedSize() : records.SerializedSize());
-  }
+  // Bytes on the wire: the payload plus the subscription/host/epoch
+  // framing (8 + 4 + 8, padded to 24 like fixed fields elsewhere).
+  size_t SerializedSize() const { return 24 + payload.SerializedSize(kind); }
 
   friend bool operator==(const QueryDelta&, const QueryDelta&) = default;
 };
-
-// The per-flow fold (kTopK / kFlowSizeHistogram): a matching record adds
-// its bytes to its flow's total, creating the key even for a zero-byte
-// record.  The insert hook, the resync snapshot and the poll scan all
-// fold through it.
-inline void FoldFlowBytes(FlowBytesMap& per_flow, const TibRecord& rec) {
-  per_flow[rec.flow] += rec.bytes;
-}
-
-// Materializes one host's kTopK / kFlowSizeHistogram result from its
-// per-flow byte totals (a poll's scan or a subscription's folded deltas).
-QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FlowBytesMap& per_flow);
-
-// Fold state for the record kinds: kFlowList keeps the distinct
-// (flow, path) pairs with the smallest insertion id seen, kCountSummary
-// the byte/packet sums.  A poll folds a shard's records in ascending id
-// order, and a controller folds deltas in epoch order with items
-// id-sorted, so the first occurrence of a pair normally carries its
-// minimum id — Add still keeps the minimum defensively.
-struct RecordFoldState {
-  struct FlowItem {
-    uint64_t id = 0;
-    FiveTuple flow;
-    CompactPath path;
-  };
-  // Distinct (flow, path) items, append-ordered; materialization sorts
-  // by id.
-  std::vector<FlowItem> flow_items;
-  // Dedup index: path hash seeded by flow -> indices into flow_items.
-  // The hash only buckets; equality is exact, so a 64-bit collision
-  // cannot change the answer.
-  std::unordered_map<uint64_t, std::vector<size_t>> seen;
-  CountSummary count;
-
-  // Folds one matching record — the single entry point of the poll scan
-  // and of Fold.  Inline: a count poll runs it once per matching record.
-  void Add(const StandingQuerySpec& spec, uint64_t id, const FiveTuple& flow,
-           const CompactPath& path, uint64_t bytes, uint32_t pkts) {
-    if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
-      // Every record is folded exactly once (a poll scans it once; a
-      // delta ships it in exactly one epoch), so this is a commutative sum.
-      count.bytes += bytes;
-      count.pkts += pkts;
-      return;
-    }
-    AddFlowItem(id, flow, path);
-  }
-  // Folds one epoch's RecordDelta (every item, through Add).
-  void Fold(const StandingQuerySpec& spec, const RecordDelta& delta);
-
- private:
-  // kFlowList: first-occurrence dedup of (flow, path), keeping the
-  // smallest insertion id.
-  void AddFlowItem(uint64_t id, const FiveTuple& flow, const CompactPath& path);
-};
-
-// Materializes one host's kFlowList / kCountSummary result from its fold
-// state (reads flow_items and count only).
-QueryResult MaterializeStandingRecords(const StandingQuerySpec& spec,
-                                       const RecordFoldState& state);
 
 // A poll: evaluates `spec` over the TIB's retained records.  One scan
 // task per shard (on the TIB's scan pool when set) filters and folds
 // under that shard's shared lock; a flow picks its shard, so the
 // per-shard states are key-disjoint and merge by concatenation or
-// summation before the shared materialize.  Byte-identical at any shard
-// and worker count, and to a subscription's materialized result over the
-// same records.
+// summation (FoldState::MergeShards) before the shared materialize.
+// Byte-identical at any shard and worker count, and to a subscription's
+// materialized result over the same records.
 QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec);
 
-// The per-agent accumulator: one partial per TIB shard (a FlowBytesMap
-// for the per-flow kinds, an append buffer of records for the record
-// kinds), updated by a Tib insert hook under that shard's lock, drained
-// by TakeDelta on epoch ticks.  Construction installs the hook;
+// The per-agent accumulator: one FoldState partial per TIB shard,
+// updated by a Tib insert hook under that shard's lock, drained by
+// TakeDelta on epoch ticks.  Construction installs the hook;
 // destruction removes it (after which no update is running — the Tib
 // guarantees removal synchronizes with every in-flight Insert).
 class StandingQueryAccumulator {
@@ -222,9 +276,9 @@ class StandingQueryAccumulator {
   StandingQueryAccumulator& operator=(const StandingQueryAccumulator&) = delete;
 
   // Epoch tick: snapshots + resets the per-shard partials (one shard
-  // lock at a time), merges them with the deterministic ordered reduce,
-  // and returns the epoch-stamped delta — or nullopt if nothing changed
-  // (no epoch number is consumed).  Thread-safe; cost is O(delta).
+  // lock at a time), merges them (FoldState::MergeShards), and returns
+  // the epoch-stamped delta — or nullopt if the increment is empty (no
+  // epoch number is consumed).  Thread-safe; cost is O(delta).
   std::optional<QueryDelta> TakeDelta();
 
   // Resync: one full epoch-boundary snapshot of the standing state.
@@ -251,32 +305,14 @@ class StandingQueryAccumulator {
   const StandingQuerySpec& spec() const { return spec_; }
 
  private:
-  // Per-shard buffer entry for the record kinds: the path stays in its
-  // stored CompactPath form so the insert hook does no decoding (and no
-  // per-path allocation) under the shard lock; Drain decodes once per
-  // shipped record, outside the insert path.
-  struct CompactRecordEntry {
-    uint64_t id;
-    FiveTuple flow;
-    CompactPath path;
-    uint64_t bytes;
-    uint32_t pkts;
-  };
-
   // Runs under the owning shard's lock, inside Tib::Insert.
   void OnInsert(size_t shard_index, uint64_t record_id, const TibRecord& rec);
-  // Folds one matching record into a per-shard partial of either shape.
-  static void Accumulate(FlowBytesMap& partial, uint64_t record_id, const TibRecord& rec);
-  static void Accumulate(std::vector<CompactRecordEntry>& partial, uint64_t record_id,
-                         const TibRecord& rec);
   // Takes every shard's partial under that shard's exclusive lock, one
-  // shard at a time: swapped out as is (rescan = false, TakeDelta), or
+  // shard at a time — swapped out as is (rescan = false, TakeDelta), or
   // discarded and re-derived from the shard's stored records through
-  // the same filter and fold (rescan = true, TakeSnapshot).
-  template <typename Partial>
-  std::vector<Partial> DrainShards(std::vector<Partial>& partials, bool rescan);
-  // DrainShards canonicalized into a delta stamped with subscription,
-  // host and kind (not epoch).  Caller holds tick_mu_.
+  // the same filter and fold (rescan = true, TakeSnapshot) — and merges
+  // them into a delta stamped with subscription, host and kind (not
+  // epoch).  Caller holds tick_mu_.
   QueryDelta Drain(bool rescan);
 
   const uint64_t subscription_id_;
@@ -285,11 +321,9 @@ class StandingQueryAccumulator {
   Tib* const tib_;
   int hook_id_ = -1;
 
-  // partial_[s] / record_partial_[s] are guarded by TIB shard s's lock
-  // (writes from OnInsert and swaps from TakeDelta both hold it).  Only
-  // the shape matching spec_.kind is ever touched.
-  std::vector<FlowBytesMap> partial_;
-  std::vector<std::vector<CompactRecordEntry>> record_partial_;
+  // partial_[s] is guarded by TIB shard s's lock (writes from OnInsert
+  // and swaps from TakeDelta both hold it).
+  std::vector<FoldState> partial_;
   // Serializes concurrent epoch ticks; ordered before shard locks.
   std::mutex tick_mu_;
   uint64_t next_epoch_ = 1;  // guarded by tick_mu_

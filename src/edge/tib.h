@@ -298,8 +298,8 @@ class Tib {
   // a per-shard incremental accumulator updated here needs no lock of its
   // own — the shard lock that already serializes inserts to the shard
   // also serializes updates to that shard's partial.  The hook receives
-  // the record's global insertion id (the determinism anchor per-record
-  // standing deltas ship — see src/common/record_delta.h).  Hooks must be
+  // the record's global insertion id (the determinism anchor of FlowList
+  // deltas — see FoldState in src/edge/standing_query.h).  Hooks must be
   // cheap and must not call back into this Tib (the shard lock is held)
   // nor take any lock ordered before shard locks.
   //

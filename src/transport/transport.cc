@@ -312,9 +312,12 @@ bool TransportHub::WaitForAcks(uint64_t token, int64_t timeout_us) {
 void TransportHub::Flush() {
   if (options_.backend == TransportOptions::Backend::kSharedMemory) {
     // Rings empty AND the reactor not mid-dispatch ⇒ every published
-    // frame has reached its downstream consumer.
+    // frame has reached its downstream consumer (or, lost, marked its
+    // streams stale).  Rings first: the reactor raises dispatching_
+    // before it pops, so a ring seen empty by a pop is covered by the
+    // flag read after it.
     for (;;) {
-      bool quiescent = !dispatching_.load(std::memory_order_acquire);
+      bool quiescent = true;
       for (Peer* peer : SnapshotPeers()) {
         if (peer->dead.load(std::memory_order_acquire)) {
           continue;
@@ -326,7 +329,7 @@ void TransportHub::Flush() {
           break;
         }
       }
-      if (quiescent) {
+      if (quiescent && !dispatching_.load(std::memory_order_acquire)) {
         break;
       }
       NapUs(200);
@@ -646,7 +649,6 @@ void TransportHub::ReactorLoop() {
       const uint64_t errors_before = peer->data_decode_errors;
       dispatching_.store(true, std::memory_order_release);
       dispatched += DrainPeer(*peer, *segment, buf);
-      dispatching_.store(false, std::memory_order_release);
       // Loss-without-death resync triggers: a sequence jump on the data
       // ring (producer consumed numbers we never saw) or a frame that
       // failed decode.  Rate-limited inside RequestResyncAll — only
@@ -659,6 +661,10 @@ void TransportHub::ReactorLoop() {
           peer->state.load(std::memory_order_acquire) == PeerState::kLive) {
         RequestResyncAll(*peer);
       }
+      // Still dispatching until a lost frame's streams are marked stale:
+      // a Flush that returned in between would see an empty ring and no
+      // stale stream, although a stream is missing an epoch.
+      dispatching_.store(false, std::memory_order_release);
       // Death check only after a full drain: everything the agent
       // published before dying is dispatched first, then the gap is
       // recorded — ordering the multiproc test relies on.

@@ -1,5 +1,6 @@
 #include "src/transport/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -140,35 +141,49 @@ WireError DecodeQueryDeltaPayload(Cursor c, DecodedFrame* out, bool allow_empty)
   if (!c.GetU64(&d.epoch)) return WireError::kBadPayload;
   if (!ValidKind(kind)) return WireError::kBadPayload;
   d.kind = StandingQuerySpec::Kind(kind);
-  if (StandingQuerySpec::IsRecordKind(d.kind)) {
-    // Record items: 8 id + 13 tuple + 8 bytes + 4 pkts + 1 len + 4·len.
-    while (c.left > 0) {
-      RecordDeltaItem item;
-      uint8_t len;
-      if (!c.GetU64(&item.id) || !c.GetTuple(&item.flow) || !c.GetU64(&item.bytes) ||
-          !c.GetU32(&item.pkts) || !c.GetU8(&len)) {
+  // Items must arrive in the encoder's canonical order, strictly: a
+  // repeated key would otherwise fold silently into its first copy.
+  FoldState& p = d.payload;
+  switch (d.kind) {
+    case StandingQuerySpec::Kind::kTopK:
+    case StandingQuerySpec::Kind::kFlowSizeHistogram: {
+      // Fixed-size flow items, so the remainder must divide.
+      if (c.left % FoldState::kFlowBytes != 0) return WireError::kBadPayload;
+      p.flows.reserve(c.left / FoldState::kFlowBytes);
+      while (c.left > 0) {
+        FoldState::FlowSum sum;
+        if (!c.GetTuple(&sum.flow) || !c.GetU64(&sum.bytes)) return WireError::kBadPayload;
+        if (!p.flows.empty() && !(p.flows.back().flow < sum.flow)) {
+          return WireError::kBadPayload;
+        }
+        p.flows.push_back(sum);
+      }
+      break;
+    }
+    case StandingQuerySpec::Kind::kFlowList:
+      while (c.left > 0) {
+        FoldState::FlowItem item;
+        if (!c.GetU64(&item.id) || !c.GetTuple(&item.flow) || !c.GetU8(&item.path.len)) {
+          return WireError::kBadPayload;
+        }
+        if (item.path.len > CompactPath::kMaxSwitches) return WireError::kBadPayload;
+        for (uint8_t i = 0; i < item.path.len; ++i) {
+          if (!c.GetU32(&item.path.sw[i])) return WireError::kBadPayload;
+        }
+        if (!p.flow_items.empty() && item.id <= p.flow_items.back().id) {
+          return WireError::kBadPayload;
+        }
+        p.flow_items.push_back(item);
+      }
+      break;
+    case StandingQuerySpec::Kind::kCountSummary:
+      if (!c.GetU64(&p.count.bytes) || !c.GetU64(&p.count.pkts) || c.left != 0) {
         return WireError::kBadPayload;
       }
-      if (len > CompactPath::kMaxSwitches) return WireError::kBadPayload;
-      item.path.resize(len);
-      for (uint8_t i = 0; i < len; ++i) {
-        if (!c.GetU32(&item.path[i])) return WireError::kBadPayload;
-      }
-      d.records.items.push_back(std::move(item));
-    }
-    if (d.records.items.empty() && !allow_empty) {
-      return WireError::kBadPayload;  // empty epochs never ship
-    }
-  } else {
-    // Flow items: fixed 21 bytes each, so the remainder must divide.
-    if ((c.left == 0 && !allow_empty) || c.left % 21 != 0) return WireError::kBadPayload;
-    d.payload.items.reserve(c.left / 21);
-    while (c.left > 0) {
-      FiveTuple flow;
-      uint64_t bytes;
-      if (!c.GetTuple(&flow) || !c.GetU64(&bytes)) return WireError::kBadPayload;
-      d.payload.items.emplace_back(flow, bytes);
-    }
+      break;
+  }
+  if (p.empty() && !allow_empty) {
+    return WireError::kBadPayload;  // empty increments never ship
   }
   return WireError::kOk;
 }
@@ -282,22 +297,45 @@ size_t EncodeDeltaShapedFrame(FrameType type, const QueryDelta& delta,
   PutU8(out, 0);
   PutU8(out, 0);
   PutU64(out, delta.epoch);
-  if (StandingQuerySpec::IsRecordKind(delta.kind)) {
-    for (const RecordDeltaItem& item : delta.records.items) {
-      PutU64(out, item.id);
-      PutTuple(out, item.flow);
-      PutU64(out, item.bytes);
-      PutU32(out, item.pkts);
-      PutU8(out, uint8_t(item.path.size()));
-      for (SwitchId sw : item.path) {
-        PutU32(out, sw);
+  const FoldState& p = delta.payload;
+  switch (delta.kind) {
+    case StandingQuerySpec::Kind::kTopK:
+    case StandingQuerySpec::Kind::kFlowSizeHistogram: {
+      // Canonical order, whatever the state's append order: ascending by
+      // flow.
+      std::vector<FoldState::FlowSum> flows = p.flows;
+      std::sort(flows.begin(), flows.end(),
+                [](const auto& a, const auto& b) { return a.flow < b.flow; });
+      for (const FoldState::FlowSum& sum : flows) {
+        PutTuple(out, sum.flow);
+        PutU64(out, sum.bytes);
       }
+      break;
     }
-  } else {
-    for (const auto& [flow, flow_bytes] : delta.payload.items) {
-      PutTuple(out, flow);
-      PutU64(out, flow_bytes);
+    case StandingQuerySpec::Kind::kFlowList: {
+      // Canonical order: ascending by id.  Sorted by pointer — the items
+      // carry a whole CompactPath.
+      std::vector<const FoldState::FlowItem*> items;
+      items.reserve(p.flow_items.size());
+      for (const FoldState::FlowItem& item : p.flow_items) {
+        items.push_back(&item);
+      }
+      std::sort(items.begin(), items.end(),
+                [](const auto* a, const auto* b) { return a->id < b->id; });
+      for (const FoldState::FlowItem* item : items) {
+        PutU64(out, item->id);
+        PutTuple(out, item->flow);
+        PutU8(out, item->path.len);
+        for (uint8_t i = 0; i < item->path.len; ++i) {
+          PutU32(out, item->path.sw[i]);
+        }
+      }
+      break;
     }
+    case StandingQuerySpec::Kind::kCountSummary:
+      PutU64(out, p.count.bytes);
+      PutU64(out, p.count.pkts);
+      break;
   }
   const size_t total = FinishFrame(out, start);
   frames->Add();
@@ -409,9 +447,9 @@ size_t EncodeResyncRequestFrame(uint64_t subscription_id, std::vector<uint8_t>& 
 WireError DecodeFrame(const uint8_t* data, size_t size, DecodedFrame* out) {
   if (size < kFrameHeaderBytes) return WireError::kTruncated;
   Cursor h{data, kFrameHeaderBytes};
-  uint32_t magic, payload_len, stored_crc;
-  uint8_t version, type;
-  uint16_t reserved;
+  uint32_t magic = 0, payload_len = 0, stored_crc = 0;
+  uint8_t version = 0, type = 0;
+  uint16_t reserved = 0;
   h.GetU32(&magic);
   h.GetU8(&version);
   h.GetU8(&type);

@@ -1,18 +1,28 @@
 // Real byte framing for the agent ↔ controller transport.
 //
-// Until this layer existed, QueryDelta/RecordDelta/QueryResult carried
-// *size accounting only* (SerializedSize() returns what the bytes would
-// cost; nothing ever produced the bytes) — fine while every agent lived
-// in the controller's process, useless the moment a delta must cross a
-// shared-memory ring between processes.  This header supplies the real
-// encoders/decoders, with one invariant that keeps the repo's byte
-// accounting honest: for a QueryDelta, the encoded frame is exactly
-// QueryDelta::SerializedSize() bytes — the 16-byte frame header below IS
-// the "16-byte message header" the size model already charges, and the
-// 24-byte subscription/host/epoch framing and per-item layouts match the
-// model field for field (packed 13-byte 5-tuple, 21-byte flow items,
-// 33+1+4·len record items).  The modeled wire cost becomes the measured
-// wire cost.
+// Invariant that keeps the repo's byte accounting honest: an encoded
+// QueryDelta frame is exactly QueryDelta::SerializedSize() bytes.  The
+// 16-byte frame header below IS the 16-byte message header the size
+// model charges, and the delta payload layout matches FoldState's wire
+// framing (src/edge/standing_query.h) field for field, so the modeled
+// wire cost is the measured wire cost.
+//
+// A kQueryDelta / kSnapshot payload (version 2) is 24 bytes of framing —
+// u64 subscription id, u32 host, u8 kind, 3 zero bytes, u64 epoch —
+// followed by the FoldState of that kind:
+//
+//   kTopK, kFlowSizeHistogram  per flow: 13-byte packed 5-tuple, u64
+//                              byte sum; strictly ascending by flow
+//   kFlowList                  per distinct (flow, path): u64 insertion
+//                              id, 13-byte 5-tuple, u8 path length
+//                              (<= CompactPath::kMaxSwitches), u32 per
+//                              switch; strictly ascending by id
+//   kCountSummary              exactly one (u64 bytes, u64 pkts) pair
+//
+// A kQueryDelta payload is never empty (no flows, no items, or an
+// all-zero count); a kSnapshot payload may be.  Version 1 shipped raw
+// records for the FlowList and CountSummary kinds; a v1 frame is
+// rejected as kBadVersion rather than misparsed.
 //
 // Frame layout (little-endian, fixed offsets):
 //
@@ -28,7 +38,8 @@
 //
 // Decoding is total: any truncated, oversized, bit-flipped, or
 // semantically invalid frame yields a WireError (never a crash, never a
-// silently wrong object).  The transport reactor counts each category
+// silently wrong object; items out of canonical order are rejected, not
+// merged).  The transport reactor counts each category
 // (TransportStats); tests/query_serialization_test.cc fuzzes random
 // corruption offsets against this contract.
 
@@ -47,7 +58,7 @@ namespace pathdump {
 namespace transport {
 
 inline constexpr uint32_t kFrameMagic = 0x50445450u;  // 'PDTP'
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 16;
 // Upper bound on a frame payload: larger declared lengths are rejected
 // before any allocation, so a corrupt length can never OOM the reactor.
@@ -58,7 +69,7 @@ inline constexpr size_t kMaxFramePayload = 64u << 20;
 // handshake frames the multi-process harness uses.
 enum class FrameType : uint8_t {
   kHello = 1,       // agent announces (host, pid) after mapping its rings
-  kQueryDelta = 2,  // one epoch increment (either payload shape)
+  kQueryDelta = 2,  // one epoch increment (a FoldState of the subscription's kind)
   kAlarm = 3,       // one Alarm
   kSubscribe = 4,   // install a standing query: (subscription id, spec)
   kEpochTick = 5,   // tick every standing query, then ack with the token

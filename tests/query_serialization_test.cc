@@ -6,7 +6,6 @@
 
 #include <cstring>
 
-#include "src/common/flow_delta.h"
 #include "src/common/rng.h"
 #include "src/controller/aggregation_tree.h"
 #include "src/controller/rpc_model.h"
@@ -58,33 +57,114 @@ TEST(SerializationGolden, FixedFraming) {
 // from the merged content (never by adding the inputs' sizes), and the
 // per-item constants match the golden framing above.
 
-TEST(SerializationConsistency, FlowBytesDeltaGoldenAndApplyToAgree) {
-  auto item = [](uint16_t port, uint64_t bytes) {
-    return std::pair<FiveTuple, uint64_t>{FiveTuple{1, 2, port, 80, kProtoTcp}, bytes};
-  };
-  // Golden framing: 16-byte header + 21 per item (same per-flow item
-  // size as TopKFlows).
-  FlowBytesDelta empty;
-  EXPECT_EQ(empty.SerializedSize(), 16u);
-  FlowBytesDelta a;
-  a.items = {item(10, 100), item(20, 200)};
-  EXPECT_EQ(a.SerializedSize(), 16u + 2u * 21u);
+using Kind = StandingQuerySpec::Kind;
 
-  // ApplyTo folds by integer sums: applying a then b (one shared flow)
-  // leaves three flows with the shared one summed — in either order.
-  FlowBytesDelta b;
-  b.items = {item(20, 50), item(30, 300)};
-  FlowBytesMap ab;
-  a.ApplyTo(ab);
-  b.ApplyTo(ab);
-  FlowBytesMap ba;
-  b.ApplyTo(ba);
-  a.ApplyTo(ba);
-  EXPECT_EQ(ab, ba);
-  ASSERT_EQ(ab.size(), 3u);
-  EXPECT_EQ(ab.at(item(10, 0).first), 100u);
-  EXPECT_EQ(ab.at(item(20, 0).first), 250u);
-  EXPECT_EQ(ab.at(item(30, 0).first), 300u);
+StandingQuerySpec SpecOf(Kind kind) {
+  StandingQuerySpec spec;
+  spec.kind = kind;
+  return spec;
+}
+
+TEST(SerializationConsistency, FoldStatePerFlowGoldenMergeAndMaterialize) {
+  using FlowSum = FoldState::FlowSum;
+  const FiveTuple f10{1, 2, 10, 80, kProtoTcp};
+  const FiveTuple f20{1, 2, 20, 80, kProtoTcp};
+  const FiveTuple f30{1, 2, 30, 80, kProtoTcp};
+  // Golden framing for both per-flow kinds: 16-byte header + 21 per flow
+  // (the per-flow item size of a TopKFlows result).
+  FoldState a;
+  a.flows = {{f10, 100}, {f20, 200}};
+  for (Kind kind : {Kind::kTopK, Kind::kFlowSizeHistogram}) {
+    EXPECT_EQ(FoldState{}.SerializedSize(kind), 16u);
+    EXPECT_EQ(a.SerializedSize(kind), 16u + 2u * 21u);
+  }
+
+  // Merge sums per flow: a then b (one shared flow) leaves three flows
+  // with the shared one summed, in first-appearance order.
+  FoldState b;
+  b.flows = {{f20, 50}, {f30, 300}};
+  FoldState ab;
+  ab.Merge(a);
+  ab.Merge(b);
+  EXPECT_EQ(ab.flows, (std::vector<FlowSum>{{f10, 100}, {f20, 250}, {f30, 300}}));
+  EXPECT_EQ(ab.size(), 3u);
+  FoldState ba;
+  ba.Merge(b);
+  ba.Merge(a);
+  EXPECT_EQ(ba.flows, (std::vector<FlowSum>{{f20, 250}, {f30, 300}, {f10, 100}}));
+
+  // Key-disjoint shard states merge by concatenation.
+  std::vector<FoldState> shards(2);
+  shards[0].flows = {{f20, 250}};
+  shards[1].flows = {{f30, 300}, {f10, 100}};
+  EXPECT_EQ(FoldState::MergeShards(shards), ba);
+
+  // Materialization does not depend on the order of the flows.
+  StandingQuerySpec topk = SpecOf(Kind::kTopK);
+  topk.k = 2;
+  const TopKFlows top = std::get<TopKFlows>(MaterializeStandingResult(topk, ab));
+  EXPECT_EQ(top.items, (std::vector<std::pair<uint64_t, FiveTuple>>{{300, f30}, {250, f20}}));
+  EXPECT_EQ(MaterializeStandingResult(topk, ba), QueryResult(top));
+  StandingQuerySpec hist = SpecOf(Kind::kFlowSizeHistogram);
+  hist.bin_width = 200;
+  const FlowSizeHistogram h = std::get<FlowSizeHistogram>(MaterializeStandingResult(hist, ab));
+  EXPECT_EQ(h.bins, (std::map<int64_t, int64_t>{{0, 1}, {1, 2}}));
+  EXPECT_EQ(MaterializeStandingResult(hist, ba), QueryResult(h));
+}
+
+TEST(SerializationConsistency, FoldStateRecordKindsGoldenMergeAndMaterialize) {
+  using FlowItem = FoldState::FlowItem;
+  const FiveTuple f10{1, 2, 10, 80, kProtoTcp};
+  const FiveTuple f20{1, 2, 20, 80, kProtoTcp};
+  const CompactPath p12 = CompactPath::FromPath({1, 2});
+  const CompactPath p123 = CompactPath::FromPath({1, 2, 3});
+
+  // FlowList framing: 16 header + (8 id + 13 tuple + 1 + 4*path_len) per
+  // distinct (flow, path) item — no byte or packet counts.
+  FoldState list;
+  list.flow_items = {FlowItem{5, f10, p12}, FlowItem{9, f20, p123}};
+  EXPECT_EQ(list.SerializedSize(Kind::kFlowList), 16u + (22u + 8u) + (22u + 12u));
+  // CountSummary framing: 16 header + one 16-byte (bytes, pkts) pair,
+  // whatever number of records the sums cover — even none.
+  EXPECT_EQ(FoldState{}.SerializedSize(Kind::kCountSummary), 32u);
+  FoldState count;
+  count.count = CountSummary{1400, 7};
+  EXPECT_EQ(count.SerializedSize(Kind::kCountSummary), 32u);
+  EXPECT_EQ(count.size(), 1u);
+  EXPECT_TRUE(FoldState{}.empty());
+  EXPECT_FALSE(count.empty());
+
+  // Merge dedups (flow, path) on first occurrence keeping the smaller id,
+  // and materializes in first-appearance (ascending id) order.
+  const StandingQuerySpec list_spec = SpecOf(Kind::kFlowList);
+  FoldState folded;
+  folded.Merge(list);
+  FoldState later;
+  later.flow_items = {FlowItem{3, f20, p123}, FlowItem{12, f10, p12}, FlowItem{14, f10, p123}};
+  folded.Merge(later);
+  EXPECT_EQ(folded.flow_items,
+            (std::vector<FlowItem>{{5, f10, p12}, {3, f20, p123}, {14, f10, p123}}));
+  const FlowList fl = std::get<FlowList>(MaterializeStandingResult(list_spec, folded));
+  EXPECT_EQ(fl.flows, (std::vector<Flow>{{f20, {1, 2, 3}}, {f10, {1, 2}}, {f10, {1, 2, 3}}}));
+  // Materialize reads no dedup index.
+  EXPECT_EQ(MaterializeStandingResult(list_spec, folded.WithoutIndex()), QueryResult{fl});
+
+  // Key-disjoint shard states concatenate: no dedup across shards.
+  std::vector<FoldState> shards(2);
+  shards[0].flow_items = {FlowItem{9, f20, p123}};
+  shards[1].flow_items = {FlowItem{5, f10, p12}};
+  shards[0].count = CountSummary{900, 4};
+  shards[1].count = CountSummary{500, 3};
+  const FoldState merged = FoldState::MergeShards(shards);
+  EXPECT_EQ(merged.flow_items, (std::vector<FlowItem>{{9, f20, p123}, {5, f10, p12}}));
+  EXPECT_EQ(merged.count, count.count);
+
+  // Counts sum across merges.
+  FoldState total;
+  total.Merge(count);
+  total.Merge(count);
+  EXPECT_EQ(MaterializeStandingResult(SpecOf(Kind::kCountSummary), total),
+            QueryResult(CountSummary{2800, 14}));
 }
 
 TEST(SerializationConsistency, QueryDeltaFramingAndMaterialization) {
@@ -94,14 +174,14 @@ TEST(SerializationConsistency, QueryDeltaFramingAndMaterialization) {
   d.epoch = 1;
   // Empty delta: 24-byte sub/host/epoch framing + payload header.
   EXPECT_EQ(d.SerializedSize(), 24u + 16u);
-  d.payload.items = {{FiveTuple{1, 2, 10, 80, kProtoTcp}, 500},
+  d.payload.flows = {{FiveTuple{1, 2, 10, 80, kProtoTcp}, 500},
                      {FiveTuple{1, 2, 20, 80, kProtoTcp}, 900}};
   EXPECT_EQ(d.SerializedSize(), 24u + 16u + 2u * 21u);
 
   // Materializing the folded payload yields a result whose size obeys
   // the golden framing for its own type.
-  FlowBytesMap folded;
-  d.payload.ApplyTo(folded);
+  FoldState folded;
+  folded.Merge(d.payload);
   StandingQuerySpec topk;
   topk.kind = StandingQuerySpec::Kind::kTopK;
   topk.k = 10;
@@ -114,44 +194,6 @@ TEST(SerializationConsistency, QueryDeltaFramingAndMaterialization) {
   // Two flows in bins 0 and... 500/1000 = 0 and 900/1000 = 0: one bin.
   EXPECT_EQ(std::get<FlowSizeHistogram>(h).bins.size(), 1u);
   EXPECT_EQ(SerializedBytes(h), 16u + 8u + 1u * 12u);
-}
-
-TEST(SerializationConsistency, RecordDeltaFramingFoldAndMaterialization) {
-  // Per-record framing: 16 header + (8 id + 13 tuple + 8 bytes + 4 pkts
-  // + 1 + 4*path_len)/item.
-  RecordDelta rd;
-  rd.items.push_back(RecordDeltaItem{5, FiveTuple{1, 2, 10, 80, kProtoTcp}, {1, 2}, 500, 3});
-  rd.items.push_back(RecordDeltaItem{9, FiveTuple{1, 2, 20, 80, kProtoTcp}, {1, 2, 3}, 900, 4});
-  EXPECT_EQ(rd.SerializedSize(), 16u + (33u + 1u + 8u) + (33u + 1u + 12u));
-
-  // A QueryDelta carries the record payload's size under the same 24-byte
-  // framing as the per-flow shape.
-  QueryDelta d;
-  d.records = rd;
-  EXPECT_EQ(d.SerializedSize(), 24u + rd.SerializedSize());
-
-  // Folding dedups (flow, path) by minimum id and materializes in
-  // first-appearance (ascending id) order; CountSummary sums every item.
-  StandingQuerySpec list_spec;
-  list_spec.kind = StandingQuerySpec::Kind::kFlowList;
-  RecordFoldState state;
-  state.Fold(list_spec, rd);
-  RecordDelta dup;  // same (flow, path) as item 1 but a later id
-  dup.items.push_back(RecordDeltaItem{12, FiveTuple{1, 2, 10, 80, kProtoTcp}, {1, 2}, 100, 1});
-  state.Fold(list_spec, dup);
-  QueryResult list = MaterializeStandingRecords(list_spec, state);
-  const auto& fl = std::get<FlowList>(list);
-  ASSERT_EQ(fl.flows.size(), 2u);
-  EXPECT_EQ(fl.flows[0].id.src_port, 10);  // id 5 before id 9
-  EXPECT_EQ(fl.flows[1].id.src_port, 20);
-
-  StandingQuerySpec count_spec;
-  count_spec.kind = StandingQuerySpec::Kind::kCountSummary;
-  RecordFoldState cstate;
-  cstate.Fold(count_spec, rd);
-  cstate.Fold(count_spec, dup);
-  QueryResult count = MaterializeStandingRecords(count_spec, cstate);
-  EXPECT_EQ(std::get<CountSummary>(count), (CountSummary{1500, 8}));
 }
 
 TEST(SerializationConsistency, MergedResultSizesTrackContent) {
@@ -432,15 +474,20 @@ QueryDelta MakeWireDelta(StandingQuerySpec::Kind kind) {
   d.host = 7;
   d.kind = kind;
   d.epoch = 3;
-  if (kind == StandingQuerySpec::Kind::kTopK ||
-      kind == StandingQuerySpec::Kind::kFlowSizeHistogram) {
-    d.payload.items = {{FiveTuple{1, 2, 10, 80, kProtoTcp}, 500},
-                       {FiveTuple{3, 4, 20, 443, kProtoUdp}, 900}};
-  } else {
-    d.records.items.push_back(
-        RecordDeltaItem{5, FiveTuple{1, 2, 10, 80, kProtoTcp}, {1, 2}, 500, 3});
-    d.records.items.push_back(
-        RecordDeltaItem{9, FiveTuple{3, 4, 20, 443, kProtoUdp}, {1, 2, 3}, 900, 4});
+  switch (kind) {
+    case Kind::kTopK:
+    case Kind::kFlowSizeHistogram:
+      d.payload.flows = {{FiveTuple{1, 2, 10, 80, kProtoTcp}, 500},
+                         {FiveTuple{3, 4, 20, 443, kProtoUdp}, 900}};
+      break;
+    case Kind::kFlowList:
+      d.payload.flow_items = {
+          {5, FiveTuple{1, 2, 10, 80, kProtoTcp}, CompactPath::FromPath({1, 2})},
+          {9, FiveTuple{3, 4, 20, 443, kProtoUdp}, CompactPath::FromPath({1, 2, 3})}};
+      break;
+    case Kind::kCountSummary:
+      d.payload.count = CountSummary{1400, 7};
+      break;
   }
   return d;
 }
@@ -454,6 +501,60 @@ void RestampCrc(std::vector<uint8_t>& frame) {
   uint32_t crc = transport::Crc32(hdr, kFrameHeaderBytes);
   crc = transport::Crc32(frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes, crc);
   std::memcpy(frame.data() + 12, &crc, 4);
+}
+
+void PutLe(std::vector<uint8_t>& out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(uint8_t(v >> (8 * i)));
+  }
+}
+
+std::vector<uint8_t> FlowItemBytes(const FiveTuple& t, uint64_t bytes) {
+  std::vector<uint8_t> out;
+  PutLe(out, t.src_ip, 4);
+  PutLe(out, t.dst_ip, 4);
+  PutLe(out, t.src_port, 2);
+  PutLe(out, t.dst_port, 2);
+  PutLe(out, t.protocol, 1);
+  PutLe(out, bytes, 8);
+  return out;
+}
+
+std::vector<uint8_t> ListItemBytes(uint64_t id, const FiveTuple& t, const Path& path) {
+  std::vector<uint8_t> out;
+  PutLe(out, id, 8);
+  std::vector<uint8_t> tuple = FlowItemBytes(t, 0);
+  out.insert(out.end(), tuple.begin(), tuple.begin() + 13);
+  PutLe(out, path.size(), 1);
+  for (SwitchId sw : path) {
+    PutLe(out, sw, 4);
+  }
+  return out;
+}
+
+// A CRC-valid delta-shaped frame around hand-written items, so a test
+// can hand the decoder payloads the encoder never produces.
+std::vector<uint8_t> HandEncodedDeltaFrame(FrameType type, StandingQuerySpec::Kind kind,
+                                           const std::vector<std::vector<uint8_t>>& items) {
+  std::vector<uint8_t> payload;
+  PutLe(payload, 42, 8);  // subscription
+  PutLe(payload, 7, 4);   // host
+  PutLe(payload, uint8_t(kind), 1);
+  PutLe(payload, 0, 3);
+  PutLe(payload, 3, 8);  // epoch
+  for (const std::vector<uint8_t>& item : items) {
+    payload.insert(payload.end(), item.begin(), item.end());
+  }
+  std::vector<uint8_t> frame;
+  PutLe(frame, transport::kFrameMagic, 4);
+  PutLe(frame, transport::kWireVersion, 1);
+  PutLe(frame, uint8_t(type), 1);
+  PutLe(frame, 0, 2);
+  PutLe(frame, payload.size(), 4);
+  PutLe(frame, 0, 4);  // crc, stamped below
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  RestampCrc(frame);
+  return frame;
 }
 
 TEST(WireAdversarial, QueryDeltaRoundTripsAllKindsAtModeledSize) {
@@ -472,6 +573,74 @@ TEST(WireAdversarial, QueryDeltaRoundTripsAllKindsAtModeledSize) {
     EXPECT_EQ(out.type, FrameType::kQueryDelta);
     EXPECT_EQ(out.delta, d) << "kind " << int(uint8_t(kind));
   }
+}
+
+TEST(WireAdversarial, PerFlowDeltaPayloadBytesAreGolden) {
+  QueryDelta d;
+  d.subscription_id = 7;
+  d.host = 3;
+  d.kind = Kind::kTopK;
+  d.epoch = 1;
+  // Appended out of flow order: the encoder sorts.
+  d.payload.flows = {{FiveTuple{1, 2, 20, 80, kProtoTcp}, 900},
+                     {FiveTuple{1, 2, 10, 80, kProtoTcp}, 500}};
+  std::vector<uint8_t> frame;
+  ASSERT_EQ(transport::EncodeQueryDeltaFrame(d, frame), 16u + 24u + 2u * 21u);
+  // The version-1 bytes: the framing, then the flows ascending by flow.
+  const std::vector<uint8_t> golden = {
+      // subscription 7, host 3, kind kTopK + 3 pad bytes, epoch 1
+      7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+      // flow (1, 2, 10, 80, tcp), 500 bytes
+      1, 0, 0, 0, 2, 0, 0, 0, 10, 0, 80, 0, 6, 0xF4, 0x01, 0, 0, 0, 0, 0, 0,
+      // flow (1, 2, 20, 80, tcp), 900 bytes
+      1, 0, 0, 0, 2, 0, 0, 0, 20, 0, 80, 0, 6, 0x84, 0x03, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(std::vector<uint8_t>(frame.begin() + kFrameHeaderBytes, frame.end()), golden);
+}
+
+TEST(WireAdversarial, NonCanonicalDeltaPayloadsAreRejected) {
+  const FiveTuple f10{1, 2, 10, 80, kProtoTcp};
+  const FiveTuple f20{1, 2, 20, 80, kProtoTcp};
+  auto decode = [](FrameType type, Kind kind, const std::vector<std::vector<uint8_t>>& items) {
+    const std::vector<uint8_t> f = HandEncodedDeltaFrame(type, kind, items);
+    DecodedFrame out;
+    return DecodeFrame(f.data(), f.size(), &out);
+  };
+  const FrameType delta = FrameType::kQueryDelta;
+
+  // Per-flow items strictly ascending by flow.  A flow named twice would
+  // otherwise fold silently into one map entry.
+  EXPECT_EQ(decode(delta, Kind::kTopK, {FlowItemBytes(f10, 5), FlowItemBytes(f20, 9)}),
+            WireError::kOk);
+  EXPECT_EQ(decode(delta, Kind::kTopK, {FlowItemBytes(f10, 5), FlowItemBytes(f10, 9)}),
+            WireError::kBadPayload);
+  EXPECT_EQ(decode(delta, Kind::kFlowSizeHistogram,
+                   {FlowItemBytes(f20, 9), FlowItemBytes(f10, 5)}),
+            WireError::kBadPayload);
+
+  // FlowList items strictly ascending by id.
+  EXPECT_EQ(decode(delta, Kind::kFlowList,
+                   {ListItemBytes(5, f10, {1, 2}), ListItemBytes(9, f20, {1, 2, 3})}),
+            WireError::kOk);
+  EXPECT_EQ(decode(delta, Kind::kFlowList,
+                   {ListItemBytes(9, f20, {1, 2, 3}), ListItemBytes(5, f10, {1, 2})}),
+            WireError::kBadPayload);
+  EXPECT_EQ(decode(delta, Kind::kFlowList,
+                   {ListItemBytes(5, f10, {1, 2}), ListItemBytes(5, f20, {1, 2, 3})}),
+            WireError::kBadPayload);
+
+  // A CountSummary payload is exactly one pair, and not all-zero in a
+  // delta; an all-zero snapshot is a legal baseline.
+  std::vector<uint8_t> pair;
+  PutLe(pair, 1400, 8);
+  PutLe(pair, 7, 8);
+  std::vector<uint8_t> zero(16, 0);
+  EXPECT_EQ(decode(delta, Kind::kCountSummary, {pair}), WireError::kOk);
+  EXPECT_EQ(decode(delta, Kind::kCountSummary, {pair, pair}), WireError::kBadPayload);
+  EXPECT_EQ(decode(delta, Kind::kCountSummary, {{pair.begin(), pair.begin() + 8}}),
+            WireError::kBadPayload);
+  EXPECT_EQ(decode(delta, Kind::kCountSummary, {}), WireError::kBadPayload);
+  EXPECT_EQ(decode(delta, Kind::kCountSummary, {zero}), WireError::kBadPayload);
+  EXPECT_EQ(decode(FrameType::kSnapshot, Kind::kCountSummary, {zero}), WireError::kOk);
 }
 
 TEST(WireAdversarial, AlarmRoundTripsWithPaths) {
@@ -568,8 +737,7 @@ TEST(WireAdversarial, SnapshotFramesRoundTripAndAllowEmpty) {
 
     QueryDelta empty = MakeWireDelta(kind);
     empty.snapshot = true;
-    empty.payload.items.clear();
-    empty.records.items.clear();
+    empty.payload = FoldState{};
     frame.clear();
     transport::EncodeSnapshotFrame(empty, frame);
     ASSERT_EQ(DecodeFrame(frame.data(), frame.size(), &out), WireError::kOk);
@@ -660,9 +828,9 @@ TEST(WireAdversarial, HeaderFieldTampersAreCategorized) {
   {  // Record item declaring an impossible path length, CRC restamped.
     std::vector<uint8_t> rec;
     transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kFlowList), rec);
-    // Payload: 24B delta framing, then 8 id + 13 tuple + 8 bytes + 4
-    // pkts put the first item's path-length byte at offset 57.
-    rec[kFrameHeaderBytes + 57] = 0xFF;
+    // Payload: 24B delta framing, then 8 id + 13 tuple put the first
+    // item's path-length byte at offset 45.
+    rec[kFrameHeaderBytes + 45] = 0xFF;
     RestampCrc(rec);
     EXPECT_EQ(DecodeFrame(rec.data(), rec.size(), &out), WireError::kBadPayload);
   }

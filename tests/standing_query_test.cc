@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -181,7 +182,7 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
 
       // At the boundary, the materialized standing result must equal a
       // fresh poll over the same records — at every worker count, for
-      // all four kinds (the per-flow pair and the per-record pair).
+      // all four kinds.
       for (size_t workers : {size_t(1), size_t(4), size_t(16)}) {
         tb.controller.SetWorkerThreads(workers);
         ThreadPool scan_pool(workers);
@@ -265,6 +266,82 @@ TEST(StandingQueryDeterminism, EmptyEpochsShipNothingAndAppResultsMatch) {
   FlowSizeHistogram poll_hist = FlowSizeDistributionForLink(
       tb.controller, tb.hosts, kProbeLink, TimeRange::All(), kBinWidth, /*multi_level=*/false);
   EXPECT_EQ(standing_hist, poll_hist);
+}
+
+TEST(StandingQueryDeterminism, RecordKindDeltasShipFoldIncrements) {
+  // A FlowList delta carries each distinct (flow, path) once, with its
+  // smaller insertion id; a CountSummary delta is one (bytes, pkts) pair
+  // however many records it sums.  Deltas are captured at the agent and
+  // forwarded to a remote-style subscription, so both the shipped
+  // increments and their folded results are checked.
+  Testbed tb(1, 4);
+  EdgeAgent& agent = *tb.agents[0];
+  SubscriptionManager manager(&tb.controller);
+  const std::vector<StandingQuerySpec> specs = {kSpecs[2], kSpecs[3]};
+  std::vector<QueryDelta> captured;
+  std::vector<uint64_t> subs;
+  std::vector<int> capture_ids;
+  for (const StandingQuerySpec& spec : specs) {
+    subs.push_back(manager.SubscribeRemote(tb.hosts, spec));
+    capture_ids.push_back(
+        agent.RegisterStandingQuery(subs.back(), spec, [&](QueryDelta&& d) {
+          captured.push_back(d);
+          manager.SubmitDelta(std::move(d));
+        }));
+  }
+  auto tick = [&] {
+    captured.clear();
+    for (int id : capture_ids) {
+      agent.EpochTickOne(id);
+    }
+  };
+
+  TibRecord rec;
+  rec.flow = FiveTuple{1, 2, 10, 80, kProtoTcp};
+  rec.path = CompactPath::FromPath({1, kProbeLink.src, kProbeLink.dst, 2});
+  rec.stime = 0;
+  rec.etime = kNsPerSec;
+  rec.bytes = 100;
+  rec.pkts = 2;
+  TibRecord other = rec;
+  other.flow.src_port = 11;
+
+  // One epoch inserts rec, other, then rec again.
+  agent.tib().Insert(rec);
+  agent.tib().Insert(other);
+  agent.tib().Insert(rec);
+  tick();
+  ASSERT_EQ(captured.size(), 2u);
+  const std::vector<FoldState::FlowItem>& items = captured[0].payload.flow_items;
+  ASSERT_EQ(items.size(), 2u);
+  const auto item_of = [&items](const FiveTuple& flow) {
+    return std::find_if(items.begin(), items.end(),
+                        [&flow](const FoldState::FlowItem& item) { return item.flow == flow; });
+  };
+  ASSERT_NE(item_of(rec.flow), items.end());
+  ASSERT_NE(item_of(other.flow), items.end());
+  EXPECT_LT(item_of(rec.flow)->id, item_of(other.flow)->id);  // the first insert's id
+  const size_t count_delta_bytes = captured[1].SerializedSize();
+  EXPECT_EQ(count_delta_bytes, 24u + 16u + 16u);
+
+  for (int matching : {1, 1000}) {
+    for (int i = 0; i < matching; ++i) {
+      TibRecord r = other;
+      r.flow.dst_port = uint16_t(1000 + i);
+      agent.tib().Insert(r);
+    }
+    tick();
+    ASSERT_EQ(captured.size(), 2u);
+    EXPECT_EQ(captured[1].SerializedSize(), count_delta_bytes) << matching << " records";
+  }
+
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(specs[i]));
+    EXPECT_EQ(manager.Materialize(subs[i]), poll) << "kind " << int(specs[i].kind);
+  }
+  for (int id : capture_ids) {
+    agent.UnregisterStandingQuery(id);
+  }
 }
 
 // --- 2. Epoch ticks racing Tib::Insert (TSan) ---
@@ -406,7 +483,7 @@ TEST(StandingQueryOrdering, ReorderedDeltasFoldDeterministically) {
     d.subscription_id = sub;
     d.host = host;
     d.epoch = epoch;
-    d.payload.items = {{FiveTuple{1, 2, port, 80, kProtoTcp}, bytes}};
+    d.payload.flows = {{FiveTuple{1, 2, port, 80, kProtoTcp}, bytes}};
     return d;
   };
 
@@ -452,7 +529,7 @@ TEST(StandingQueryOrdering, OrphanedDeltasAreCountedNotFolded) {
   d.subscription_id = 999;  // never subscribed
   d.host = tb.hosts[0];
   d.epoch = 1;
-  d.payload.items = {{FiveTuple{1, 2, 3, 80, kProtoTcp}, 42}};
+  d.payload.flows = {{FiveTuple{1, 2, 3, 80, kProtoTcp}, 42}};
   ASSERT_TRUE(manager.SubmitDelta(std::move(d)));
   manager.Flush();
   EXPECT_EQ(manager.stats().deltas_orphaned, 1u);
@@ -685,7 +762,7 @@ TEST(StandingQueryRecovery, GapThresholdDeclaresStaleAndSnapshotRebaselines) {
     d.subscription_id = sub;
     d.host = host;
     d.epoch = epoch;
-    d.payload.items = {{FiveTuple{1, 2, port, 80, kProtoTcp}, bytes}};
+    d.payload.flows = {{FiveTuple{1, 2, port, 80, kProtoTcp}, bytes}};
     return d;
   };
 
@@ -726,7 +803,7 @@ TEST(StandingQueryRecovery, GapThresholdDeclaresStaleAndSnapshotRebaselines) {
   snap.host = host;
   snap.epoch = 6;
   snap.snapshot = true;
-  snap.payload.items = {{FiveTuple{1, 2, 10, 80, kProtoTcp}, 100},
+  snap.payload.flows = {{FiveTuple{1, 2, 10, 80, kProtoTcp}, 100},
                         {FiveTuple{1, 2, 30, 80, kProtoTcp}, 300},
                         {FiveTuple{1, 2, 40, 80, kProtoTcp}, 400}};
   ASSERT_TRUE(manager.SubmitDelta(std::move(snap)));
