@@ -13,7 +13,6 @@ TopKFlows TopKAcrossHosts(Controller& controller, const std::vector<HostId>& hos
   auto [result, stats] = multi_level ? controller.ExecuteMultiLevel(hosts, query)
                                      : controller.Execute(hosts, query);
   if (auto* t = std::get_if<TopKFlows>(&result)) {
-    t->Finalize();
     return std::move(*t);
   }
   return TopKFlows{k, {}};
@@ -31,7 +30,6 @@ uint64_t SubscribeTopK(SubscriptionManager& manager, const std::vector<HostId>& 
 TopKFlows TopKStanding(SubscriptionManager& manager, uint64_t subscription_id) {
   QueryResult result = manager.Materialize(subscription_id);
   if (auto* t = std::get_if<TopKFlows>(&result)) {
-    t->Finalize();
     return std::move(*t);
   }
   // No host has shipped anything yet (or the id is unknown): an empty

@@ -111,7 +111,7 @@ std::pair<QueryResult, QueryExecStats> Controller::Execute(const std::vector<Hos
     stats.max_host_compute_seconds = std::max(stats.max_host_compute_seconds, r.compute_seconds);
 
     auto t0 = std::chrono::steady_clock::now();
-    MergeQueryResult(merged, r.result);
+    MergeQueryResult(merged, std::move(r.result));
     merge_seconds += SecondsSince(t0);
   }
   stats.controller_compute_seconds = merge_seconds;
@@ -163,11 +163,10 @@ std::pair<QueryResult, QueryExecStats> Controller::ExecuteMultiLevel(
     auto t0 = std::chrono::steady_clock::now();
     merged_subtree[i] = std::move(own[i].result);
     for (int child : tree.nodes[i].children) {
-      MergeQueryResult(merged_subtree[i], merged_subtree[size_t(child)]);
-      // The child's size was recorded when it merged; release its
-      // payload now — otherwise a deep tree over list-shaped results
+      // The child's size was recorded when it merged; its payload moves
+      // into the parent — otherwise a deep tree over list-shaped results
       // holds every level's concatenation live at once.
-      merged_subtree[size_t(child)] = QueryResult{};
+      MergeQueryResult(merged_subtree[i], std::move(merged_subtree[size_t(child)]));
     }
     merge_seconds[i] = SecondsSince(t0);
     // A pure function of the (deterministic) result — safe to compute on
@@ -234,7 +233,7 @@ std::pair<QueryResult, QueryExecStats> Controller::ExecuteMultiLevel(
     latest = std::max(latest,
                       root_ready + rpc_.rtt_seconds / 2 + rpc_.TransferSeconds(bytes));
     auto t0 = std::chrono::steady_clock::now();
-    MergeQueryResult(merged, merged_subtree[size_t(root)]);
+    MergeQueryResult(merged, std::move(merged_subtree[size_t(root)]));
     controller_merge += SecondsSince(t0);
   }
   stats.controller_compute_seconds = controller_merge;

@@ -1,6 +1,8 @@
 #include "src/edge/query.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace pathdump {
 
@@ -43,20 +45,25 @@ struct SizeVisitor {
 void TopKFlows::Finalize() {
   // Total order (bytes desc, then flow id) so ties at the k-boundary
   // truncate identically regardless of merge topology or sort stability.
-  std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
+  // Because the order is total, partitioning at k and sorting only the
+  // first k gives exactly the full sort's first k.
+  const auto before = [](const auto& a, const auto& b) {
     if (a.first != b.first) {
       return b.first < a.first;
     }
     return a.second < b.second;
-  });
+  };
   if (k > 0 && items.size() > k) {
+    const auto kth = items.begin() + std::ptrdiff_t(k);
+    std::nth_element(items.begin(), kth, items.end(), before);
     items.resize(k);
   }
+  std::sort(items.begin(), items.end(), before);
 }
 
 size_t SerializedBytes(const QueryResult& r) { return std::visit(SizeVisitor{}, r); }
 
-void MergeQueryResult(QueryResult& acc, const QueryResult& in) {
+void MergeQueryResult(QueryResult& acc, QueryResult in) {
   // An empty contribution (e.g. an aggregation-tree node whose host is
   // not registered) merges as the identity instead of throwing
   // bad_variant_access below.
@@ -64,33 +71,34 @@ void MergeQueryResult(QueryResult& acc, const QueryResult& in) {
     return;
   }
   if (std::holds_alternative<std::monostate>(acc)) {
-    acc = in;
+    acc = std::move(in);
     if (auto* t = std::get_if<TopKFlows>(&acc)) {
       t->Finalize();
     }
     return;
   }
   if (auto* h = std::get_if<FlowSizeHistogram>(&acc)) {
-    const auto& hi = std::get<FlowSizeHistogram>(in);
-    for (const auto& [bin, count] : hi.bins) {
+    for (const auto& [bin, count] : std::get<FlowSizeHistogram>(in).bins) {
       h->bins[bin] += count;
     }
     return;
   }
   if (auto* t = std::get_if<TopKFlows>(&acc)) {
-    const auto& ti = std::get<TopKFlows>(in);
-    t->items.insert(t->items.end(), ti.items.begin(), ti.items.end());
+    auto& ti = std::get<TopKFlows>(in).items;
+    t->items.insert(t->items.end(), ti.begin(), ti.end());
     t->Finalize();
     return;
   }
   if (auto* f = std::get_if<FlowList>(&acc)) {
-    const auto& fi = std::get<FlowList>(in);
-    f->flows.insert(f->flows.end(), fi.flows.begin(), fi.flows.end());
+    auto& fi = std::get<FlowList>(in).flows;
+    f->flows.insert(f->flows.end(), std::make_move_iterator(fi.begin()),
+                    std::make_move_iterator(fi.end()));
     return;
   }
   if (auto* p = std::get_if<PathList>(&acc)) {
-    const auto& pi = std::get<PathList>(in);
-    p->paths.insert(p->paths.end(), pi.paths.begin(), pi.paths.end());
+    auto& pi = std::get<PathList>(in).paths;
+    p->paths.insert(p->paths.end(), std::make_move_iterator(pi.begin()),
+                    std::make_move_iterator(pi.end()));
     return;
   }
   if (auto* c = std::get_if<CountSummary>(&acc)) {

@@ -31,7 +31,8 @@ struct FlowSizeHistogram {
 // Top-k flows by byte count (§2.3 "Traffic measurement").
 struct TopKFlows {
   size_t k = 0;
-  // (bytes, flow) pairs; Finalize() sorts descending and trims to k.
+  // (bytes, flow) pairs; Finalize() trims to the k best and sorts them
+  // descending.
   std::vector<std::pair<uint64_t, FiveTuple>> items;
 
   void Finalize();
@@ -69,8 +70,11 @@ size_t SerializedBytes(const QueryResult& r);
 
 // Merges `in` into `acc` (both must hold the same alternative, or acc may
 // be monostate).  TopKFlows keeps only the k best entries — this is the
-// data reduction that makes the multi-level tree win in Fig. 12.
-void MergeQueryResult(QueryResult& acc, const QueryResult& in);
+// data reduction that makes the multi-level tree win in Fig. 12.  `in` is
+// taken by value: pass std::move(result) to move its lists (FlowList
+// paths included) into `acc`; an lvalue argument is copied and left
+// unchanged.
+void MergeQueryResult(QueryResult& acc, QueryResult in);
 
 }  // namespace pathdump
 

@@ -39,16 +39,17 @@ void FoldState::Merge(const FoldState& increment) {
 }
 
 void FoldState::AddFlowItem(const FlowItem& item) {
-  const uint64_t key = item.path.HashKey(FiveTupleHash{}(item.flow));
-  for (auto [it, end] = item_index_.equal_range(key); it != end; ++it) {
-    FlowItem& existing = flow_items[it->second];
-    if (existing.flow == item.flow && existing.path == item.path) {
-      existing.id = std::min(existing.id, item.id);
-      return;
-    }
+  const size_t pos = item_index_.FindOrInsert(
+      ItemHash(item), flow_items.size(),
+      [&](size_t i) {
+        return flow_items[i].flow == item.flow && flow_items[i].path == item.path;
+      },
+      [this](size_t i) { return ItemHash(flow_items[i]); });
+  if (pos == flow_items.size()) {
+    flow_items.push_back(item);
+  } else {
+    flow_items[pos].id = std::min(flow_items[pos].id, item.id);
   }
-  item_index_.emplace(key, flow_items.size());
-  flow_items.push_back(item);
 }
 
 size_t FoldState::SerializedSize(StandingQuerySpec::Kind kind) const {

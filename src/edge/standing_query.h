@@ -48,9 +48,12 @@
 #ifndef PATHDUMP_SRC_EDGE_STANDING_QUERY_H_
 #define PATHDUMP_SRC_EDGE_STANDING_QUERY_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -194,24 +197,92 @@ struct FoldState {
   }
 
  private:
+  // An open-addressed index over `flows` or `flow_items`: a power-of-two
+  // table of 32-bit slots, each 0 (empty) or 1 + an entry's position,
+  // probed linearly from the top bits of the entry's hash (the flows of
+  // one TIB shard share FiveTupleHash % shard count, so the low bits
+  // cluster).  Entries are only appended, so no slot is ever cleared.
+  // The table stays at most half full and is rebuilt from the entries'
+  // hashes when it grows.  Slots hold positions, not pointers, so a
+  // copied FoldState's index finds the copy's entries.
+  class Index {
+   public:
+    // Returns the position of the entry with hash `hash` for which
+    // `matches(position)` holds; otherwise claims a slot for position
+    // `size` (the entry count), which the caller then appends, and
+    // returns `size`.  `hash_of(position)` rehashes an entry on growth.
+    template <typename Matches, typename HashOf>
+    size_t FindOrInsert(uint64_t hash, size_t size, const Matches& matches,
+                        const HashOf& hash_of) {
+      if (2 * (size + 1) > slots_.size()) {
+        Grow(size, hash_of);
+      }
+      const size_t mask = slots_.size() - 1;
+      for (size_t i = size_t(hash >> shift_);; i = (i + 1) & mask) {
+        const uint32_t slot = slots_[i];
+        if (slot == 0) {
+          slots_[i] = uint32_t(size + 1);
+          return size;
+        }
+        if (matches(size_t(slot - 1))) {
+          return size_t(slot - 1);
+        }
+      }
+    }
+
+   private:
+    // Resizes for one more than `size` entries and re-inserts positions
+    // 0..size-1, which are distinct, so no equality check is needed.
+    template <typename HashOf>
+    void Grow(size_t size, const HashOf& hash_of) {
+      size_t capacity = std::max<size_t>(16, slots_.size());
+      while (2 * (size + 1) > capacity) {
+        capacity *= 2;
+      }
+      // At most 2^31 entries, so every 1 + position fits a slot.
+      if (capacity > (size_t(1) << 32)) {
+        throw std::length_error("FoldState index: more than 2^31 entries");
+      }
+      slots_.assign(capacity, 0);
+      shift_ = 64 - unsigned(std::countr_zero(capacity));
+      const size_t mask = capacity - 1;
+      for (size_t pos = 0; pos < size; ++pos) {
+        size_t i = size_t(uint64_t(hash_of(pos)) >> shift_);
+        while (slots_[i] != 0) {
+          i = (i + 1) & mask;
+        }
+        slots_[i] = uint32_t(pos + 1);
+      }
+    }
+
+    std::vector<uint32_t> slots_;
+    unsigned shift_ = 0;  // 64 - log2(slots_.size())
+  };
+
+  static uint64_t ItemHash(const FlowItem& item) {
+    return item.path.HashKey(FiveTupleHash{}(item.flow));
+  }
+
   void AddFlowSum(const FiveTuple& flow, uint64_t bytes) {
-    const auto [it, fresh] = flow_index_.try_emplace(flow, flows.size());
-    if (fresh) {
+    const size_t pos = flow_index_.FindOrInsert(
+        FiveTupleHash{}(flow), flows.size(), [&](size_t i) { return flows[i].flow == flow; },
+        [this](size_t i) { return FiveTupleHash{}(flows[i].flow); });
+    if (pos == flows.size()) {
       flows.push_back(FlowSum{flow, bytes});
     } else {
-      flows[it->second].bytes += bytes;
+      flows[pos].bytes += bytes;
     }
   }
   // kFlowList: first-occurrence dedup of (flow, path), keeping the
   // smaller id.
   void AddFlowItem(const FlowItem& item);
 
-  // flow -> index into flows.
-  std::unordered_map<FiveTuple, size_t, FiveTupleHash> flow_index_;
-  // Path hash seeded by flow -> index into flow_items, one entry per
-  // item.  The hash only buckets; equality is exact, so a 64-bit
+  // Over flows, keyed by FiveTupleHash.
+  Index flow_index_;
+  // Over flow_items, keyed by the path hash seeded by the flow's hash.
+  // The hash only places an item; equality is exact, so a 64-bit
   // collision cannot change the answer.
-  std::unordered_multimap<uint64_t, size_t> item_index_;
+  Index item_index_;
 };
 
 // Materializes one host's result from its fold state (a poll's merged

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/controller/controller.h"
 #include "src/edge/fleet.h"
 #include "src/netsim/network.h"
@@ -185,6 +187,42 @@ TEST(TopKFinalizeTest, TiesTruncateByTotalOrder) {
   y.Finalize();
   EXPECT_EQ(x.items, y.items);
   EXPECT_EQ(x.items.size(), 2u);
+}
+
+TEST(TopKFinalizeTest, MatchesFullSortThenTruncate) {
+  // Finalize partitions at k and sorts only the first k; the result must
+  // equal a full sort under the same total order, truncated to k.  Few
+  // distinct byte counts make long runs of ties across the k-boundary.
+  const auto before = [](const auto& a, const auto& b) {
+    if (a.first != b.first) {
+      return b.first < a.first;
+    }
+    return a.second < b.second;
+  };
+  Rng rng(16, 0x70B);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.UniformInt(400);
+    const uint32_t distinct_bytes = 1 + rng.UniformInt(4);
+    std::vector<std::pair<uint64_t, FiveTuple>> items;
+    for (size_t i = 0; i < n; ++i) {
+      const FiveTuple flow{rng.UniformInt(32), rng.UniformInt(32), uint16_t(rng.UniformInt(8)),
+                           80, kProtoTcp};
+      items.emplace_back(uint64_t(rng.UniformInt(distinct_bytes)) * 1000, flow);
+    }
+    std::vector<std::pair<uint64_t, FiveTuple>> sorted = items;
+    std::sort(sorted.begin(), sorted.end(), before);
+    const size_t mid = 1 + rng.UniformInt(uint32_t(n));
+    for (size_t k : {size_t(0), size_t(1), n - 1, n, n + 1, mid}) {
+      TopKFlows t;
+      t.k = k;
+      t.items = items;
+      t.Finalize();
+      const size_t keep = k == 0 ? n : std::min(k, n);
+      const std::vector<std::pair<uint64_t, FiveTuple>> expected(
+          sorted.begin(), sorted.begin() + std::ptrdiff_t(keep));
+      ASSERT_EQ(t.items, expected) << "trial " << trial << " n=" << n << " k=" << k;
+    }
+  }
 }
 
 }  // namespace

@@ -20,11 +20,16 @@
 //     snapshot re-baselines it (in-process Resync restores byte
 //     identity for all four kinds), and the gap threshold declares
 //     presumed-lost epochs stale + fires the resync requester.
+//  7. Fold index — FoldState's open-addressed index against map-based
+//     references: folds across many table growths, Add and Merge on a
+//     copied state, FlowList pairs sharing a flow or a home slot; and
+//     MergeQueryResult's copy (lvalue) and move (rvalue) forms.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -825,6 +830,242 @@ TEST(StandingQueryRecovery, GapThresholdDeclaresStaleAndSnapshotRebaselines) {
   EXPECT_EQ(ss.deltas_submitted,
             ss.deltas_folded + ss.deltas_orphaned + ss.deltas_stale_discarded);
   manager.SetResyncRequester(nullptr);
+}
+
+// --- 7. Fold index ---
+
+FiveTuple IndexedFlow(uint32_t i) {
+  return FiveTuple{0x0A000000u + (i >> 8), 0x0B000000u + (i & 0xFF), uint16_t(i), 80, kProtoTcp};
+}
+
+TibRecord FlowRecord(const FiveTuple& flow, uint64_t bytes) {
+  TibRecord rec;
+  rec.flow = flow;
+  rec.bytes = bytes;
+  rec.pkts = 1;
+  return rec;
+}
+
+StandingQuerySpec TopKSpec() {
+  StandingQuerySpec spec;
+  spec.kind = StandingQuerySpec::Kind::kTopK;
+  spec.k = kTopK;
+  return spec;
+}
+
+StandingQuerySpec FlowListSpec() {
+  StandingQuerySpec spec;
+  spec.kind = StandingQuerySpec::Kind::kFlowList;
+  return spec;
+}
+
+// Per-flow sums in first-appearance order, from a FlowBytesMap.
+std::vector<FoldState::FlowSum> FlowSumReference(const std::vector<TibRecord>& records) {
+  FlowBytesMap bytes;
+  std::vector<FiveTuple> order;
+  for (const TibRecord& rec : records) {
+    auto [it, fresh] = bytes.try_emplace(rec.flow, 0);
+    if (fresh) {
+      order.push_back(rec.flow);
+    }
+    it->second += rec.bytes;
+  }
+  std::vector<FoldState::FlowSum> out;
+  for (const FiveTuple& flow : order) {
+    out.push_back({flow, bytes.at(flow)});
+  }
+  return out;
+}
+
+TEST(FoldStateIndex, LargeFoldsMatchFlowBytesReference) {
+  // 120 000 distinct flows, each seen up to three times in a shuffled
+  // order: the index grows from 16 slots to 2^18, and every growth must
+  // keep every earlier flow findable.
+  constexpr uint32_t kFlows = 120000;
+  Rng rng(16, 0xF01D);
+  std::vector<TibRecord> records;
+  for (uint32_t i = 0; i < kFlows; ++i) {
+    const uint32_t copies = 1 + rng.UniformInt(3);
+    for (uint32_t c = 0; c < copies; ++c) {
+      records.push_back(FlowRecord(IndexedFlow(i), rng.UniformInt(5000)));
+    }
+  }
+  for (size_t i = records.size() - 1; i > 0; --i) {
+    std::swap(records[i], records[rng.UniformInt(uint32_t(i + 1))]);
+  }
+  const std::vector<FoldState::FlowSum> reference = FlowSumReference(records);
+  ASSERT_EQ(reference.size(), kFlows);
+
+  const StandingQuerySpec spec = TopKSpec();
+  FoldState added;
+  for (size_t i = 0; i < records.size(); ++i) {
+    added.Add(spec, i, records[i]);
+  }
+  EXPECT_EQ(added.flows, reference);
+
+  // The controller's fold: the same records as many increments merged
+  // in order (later increments re-touch flows of earlier ones).
+  FoldState merged;
+  for (size_t begin = 0; begin < records.size(); begin += 7919) {
+    FoldState increment;
+    for (size_t i = begin; i < std::min(records.size(), begin + 7919); ++i) {
+      increment.Add(spec, i, records[i]);
+    }
+    merged.Merge(increment);
+  }
+  EXPECT_EQ(merged.flows, reference);
+}
+
+TEST(FoldStateIndex, CopiedStateAddsAndMergesIntoItsOwnEntries) {
+  const StandingQuerySpec spec = TopKSpec();
+  FoldState original;
+  for (uint32_t i = 0; i < 100; ++i) {
+    original.Add(spec, i, FlowRecord(IndexedFlow(i), 10));
+  }
+  const FoldState before = original;
+
+  FoldState copy = original;
+  copy.Add(spec, 100, FlowRecord(IndexedFlow(7), 5));
+  FoldState increment;
+  increment.Add(spec, 0, FlowRecord(IndexedFlow(42), 1));
+  increment.Add(spec, 1, FlowRecord(IndexedFlow(5000), 2));
+  copy.Merge(increment);
+  ASSERT_EQ(copy.flows.size(), 101u);
+  EXPECT_EQ(copy.flows[7].bytes, 15u);
+  EXPECT_EQ(copy.flows[42].bytes, 11u);
+  EXPECT_EQ(copy.flows[100], (FoldState::FlowSum{IndexedFlow(5000), 2}));
+  // Grow the copy's index past its original size; every entry stays
+  // findable and the original is untouched.
+  for (uint32_t i = 0; i < 1000; ++i) {
+    copy.Add(spec, i, FlowRecord(IndexedFlow(i), 1));
+  }
+  ASSERT_EQ(copy.flows.size(), 1001u);
+  EXPECT_EQ(copy.flows[7].bytes, 16u);
+  EXPECT_EQ(copy.flows[100].bytes, 2u);
+  EXPECT_EQ(original, before);
+
+  // Copy assignment over a state with its own index, and a FlowList
+  // state: the assigned state must find the source's entries.
+  FoldState assigned;
+  assigned.Add(spec, 0, FlowRecord(IndexedFlow(999999), 1));
+  assigned = original;
+  assigned.Add(spec, 0, FlowRecord(IndexedFlow(3), 1));
+  ASSERT_EQ(assigned.flows.size(), 100u);
+  EXPECT_EQ(assigned.flows[3].bytes, 11u);
+
+  const StandingQuerySpec list = FlowListSpec();
+  FoldState items;
+  TibRecord rec = FlowRecord(IndexedFlow(1), 1);
+  rec.path = CompactPath::FromPath({1, 2, 3});
+  items.Add(list, 50, rec);
+  FoldState items_copy = items;
+  items_copy.Add(list, 20, rec);
+  ASSERT_EQ(items_copy.flow_items.size(), 1u);
+  EXPECT_EQ(items_copy.flow_items[0].id, 20u);
+  EXPECT_EQ(items.flow_items[0].id, 50u);
+}
+
+TEST(FoldStateIndex, FlowListDedupsPairsSharingAFlowOrAHomeSlot) {
+  // Many paths per flow.  The index places an entry by the top bits of
+  // its hash, so paths of one flow whose hashes agree in the top 16 bits
+  // share a home slot at every table size up to 2^16 and must be told
+  // apart by exact comparison.
+  Rng rng(16, 0xB0C);
+  const std::vector<FiveTuple> flows = {IndexedFlow(1), IndexedFlow(2), IndexedFlow(3)};
+  std::vector<std::pair<FiveTuple, CompactPath>> pairs;
+  std::map<uint64_t, int> slot_users;
+  for (const FiveTuple& flow : flows) {
+    for (int p = 0; p < 1500; ++p) {
+      Path path(2 + rng.UniformInt(CompactPath::kMaxSwitches - 1));
+      for (SwitchId& sw : path) {
+        sw = SwitchId(rng.UniformInt(64));
+      }
+      const CompactPath compact = CompactPath::FromPath(path);
+      pairs.emplace_back(flow, compact);
+      ++slot_users[compact.HashKey(FiveTupleHash{}(flow)) >> 48];
+    }
+  }
+  ASSERT_TRUE(std::any_of(slot_users.begin(), slot_users.end(),
+                          [](const auto& e) { return e.second > 1; }))
+      << "no two pairs share a 16-bit home slot; pick another seed";
+
+  // Each pair arrives several times with random ids, interleaved.
+  std::vector<FoldState::FlowItem> arrivals;
+  for (const auto& [flow, path] : pairs) {
+    for (uint32_t c = 0, n = 1 + rng.UniformInt(3); c < n; ++c) {
+      arrivals.push_back({rng.NextU64() >> 20, flow, path});
+    }
+  }
+  for (size_t i = arrivals.size() - 1; i > 0; --i) {
+    std::swap(arrivals[i], arrivals[rng.UniformInt(uint32_t(i + 1))]);
+  }
+
+  // Dedup reference: first-appearance order, smallest id per pair.
+  using Key = std::pair<FiveTuple, std::vector<SwitchId>>;
+  std::map<Key, size_t> position;
+  std::vector<FoldState::FlowItem> reference;
+  for (const FoldState::FlowItem& item : arrivals) {
+    auto [it, fresh] = position.try_emplace(Key{item.flow, item.path.ToPath()}, reference.size());
+    if (fresh) {
+      reference.push_back(item);
+    } else {
+      reference[it->second].id = std::min(reference[it->second].id, item.id);
+    }
+  }
+
+  const StandingQuerySpec spec = FlowListSpec();
+  FoldState added;
+  for (const FoldState::FlowItem& item : arrivals) {
+    TibRecord rec = FlowRecord(item.flow, 1);
+    rec.path = item.path;
+    added.Add(spec, item.id, rec);
+  }
+  EXPECT_EQ(added.flow_items, reference);
+
+  FoldState merged;
+  for (size_t begin = 0; begin < arrivals.size(); begin += 611) {
+    FoldState increment;
+    increment.flow_items.assign(
+        arrivals.begin() + std::ptrdiff_t(begin),
+        arrivals.begin() + std::ptrdiff_t(std::min(arrivals.size(), begin + 611)));
+    merged.Merge(increment);
+  }
+  EXPECT_EQ(merged.flow_items, reference);
+}
+
+TEST(QueryResultMerge, CopiesLvaluesAndMovesRvalues) {
+  const FiveTuple fa{1, 2, 10, 80, kProtoTcp};
+  const FiveTuple fb{1, 2, 20, 80, kProtoTcp};
+  FlowSizeHistogram histogram;
+  histogram.bins = {{0, 2}, {3, 1}};
+  TopKFlows top;
+  top.k = 2;
+  top.items = {{300, fb}, {100, fa}};
+  TopKFlows top_unsorted;
+  top_unsorted.k = 2;
+  top_unsorted.items = {{50, fa}, {700, fb}, {300, fa}};
+  const std::vector<std::pair<QueryResult, QueryResult>> cases = {
+      {QueryResult{}, FlowList{{Flow{fa, {1, 2, 3}}, Flow{fb, {4, 5}}}}},
+      {FlowList{{Flow{fb, {9}}}}, FlowList{{Flow{fa, {1, 2, 3}}, Flow{fb, {4, 5}}}}},
+      {PathList{{{7, 8}}}, PathList{{{1, 2, 3}, {4}}}},
+      {QueryResult{}, top_unsorted},
+      {top, top_unsorted},
+      {histogram, histogram},
+      {CountSummary{5, 1}, CountSummary{7, 2}},
+      {CountSummary{5, 1}, QueryResult{}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto& [base, contribution] = cases[c];
+    QueryResult from_lvalue = base;
+    QueryResult in = contribution;
+    MergeQueryResult(from_lvalue, in);
+    EXPECT_EQ(in, contribution) << "case " << c << ": the lvalue changed";
+
+    QueryResult from_rvalue = base;
+    QueryResult moved = contribution;
+    MergeQueryResult(from_rvalue, std::move(moved));
+    EXPECT_EQ(from_rvalue, from_lvalue) << "case " << c;
+  }
 }
 
 }  // namespace
