@@ -147,7 +147,7 @@ void BackpressureSection() {
   AlarmPipelineOptions opts;
   opts.queue_capacity = 64;
   opts.max_batch = 64;
-  opts.overflow = AlarmOverflowPolicy::kDropNewest;
+  opts.overflow = MpscOverflowPolicy::kDropNewest;
   controller.ConfigureAlarmPipeline(opts);
   controller.SubscribeAlarms([](const Alarm&) {
     std::this_thread::sleep_for(std::chrono::microseconds(20));

@@ -41,7 +41,7 @@
 #include "src/packet/packet.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
-#include "tests/test_util.h"
+#include "src/workload/synthetic_records.h"
 
 namespace pathdump {
 namespace {
@@ -169,7 +169,7 @@ int RunEvictionStorm() {
       SubscribeCountSummary(manager, bounded_hosts, kStormProbeLink),
   };
 
-  testutil::SyntheticRecordOptions ropt;
+  SyntheticRecordOptions ropt;
   ropt.ip_space = 4096;
   ropt.switch_space = 24;
 
@@ -181,7 +181,7 @@ int RunEvictionStorm() {
   std::vector<double> early_us, late_us;
   for (int e = 0; e < epochs; ++e) {
     const std::vector<TibRecord> batch =
-        testutil::MakeSyntheticRecords(per_epoch, 0xF163u + uint32_t(e), ropt);
+        MakeSyntheticRecords(per_epoch, 0xF163u + uint32_t(e), ropt);
     for (size_t i = 0; i < batch.size(); ++i) {
       const bool timed = (i % 64) == 0;
       const auto t0 = std::chrono::steady_clock::now();

@@ -48,7 +48,8 @@
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
 #include "src/transport/shm_ring.h"
-#include "tests/test_util.h"
+#include "src/transport/transport.h"
+#include "src/workload/synthetic_records.h"
 
 namespace pathdump {
 namespace {
@@ -131,63 +132,36 @@ constexpr uint32_t kSwitchSpace = 24;
 constexpr size_t kShards = 4;
 const LinkId kProbeLink{3, 7};
 
-// Thread standing in for an agent process: same client, same rings,
-// same frames as examples/agent_worker.cpp.
+// Thread standing in for an agent process: the same client, rings and
+// ShmAgentClient::Serve loop as examples/agent_worker.cpp.  The
+// destructor stops and joins it whether or not Shutdown was sent, so an
+// early return from a failed section cannot hang the bench.
 class ShmAgentThread {
  public:
   ShmAgentThread(const std::string& name, HostId host, const Topology* topo,
-                 const CherryPickCodec* codec) {
-    client_ = ShmAgentClient::Open(name);
-    EdgeAgentConfig cfg;
-    cfg.tib_options.num_shards = kShards;
-    agent_ = std::make_unique<EdgeAgent>(host, topo, codec, cfg);
-    agent_->SetAlarmHandler(client_->MakeAlarmSink());
-    thread_ = std::thread([this, host] { Run(host); });
-  }
+                 const CherryPickCodec* codec)
+      : thread_([this, name, host, topo, codec] {
+          auto client = ShmAgentClient::Open(name);
+          if (client == nullptr) {
+            std::printf("agent %u cannot map %s\n", unsigned(host), name.c_str());
+            return;
+          }
+          EdgeAgentConfig cfg;
+          cfg.tib_options.num_shards = kShards;
+          EdgeAgent agent(host, topo, codec, cfg);
+          client->SendHello(host);
+          client->Serve(agent, host, [this] { return !stop_.load(std::memory_order_acquire); });
+        }) {}
   ~ShmAgentThread() {
-    if (thread_.joinable()) {
-      thread_.join();
-    }
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
   }
+  ShmAgentThread(const ShmAgentThread&) = delete;
+  ShmAgentThread& operator=(const ShmAgentThread&) = delete;
 
  private:
-  void Run(HostId host) {
-    client_->SendHello(host);
-    for (;;) {
-      transport::DecodedFrame cmd;
-      if (!client_->PollCommand(&cmd, 100'000)) {
-        continue;
-      }
-      switch (cmd.type) {
-        case transport::FrameType::kSubscribe:
-          agent_->RegisterStandingQuery(cmd.subscription_id, cmd.spec, client_->MakeDeltaSink());
-          break;
-        case transport::FrameType::kIngest: {
-          testutil::SyntheticRecordOptions opt;
-          opt.ip_space = cmd.ingest_ip_space;
-          opt.switch_space = cmd.ingest_switch_space;
-          for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-                   int(cmd.ingest_count), cmd.ingest_seed + uint32_t(host), opt)) {
-            agent_->tib().Insert(rec);
-          }
-          break;
-        }
-        case transport::FrameType::kEpochTick:
-          agent_->EpochTick();
-          client_->SendAck(host, cmd.token);
-          break;
-        case transport::FrameType::kShutdown:
-          client_->SendBye(host);
-          return;
-        default:
-          break;
-      }
-    }
-  }
-
-  std::unique_ptr<ShmAgentClient> client_;
-  std::unique_ptr<EdgeAgent> agent_;
-  std::thread thread_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  // last: starts once stop_ exists
 };
 
 bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epochs,
@@ -237,19 +211,13 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
   const uint64_t topk_sub = hub.Subscribe(hosts, topk);
   const uint64_t list_sub = hub.Subscribe(hosts, list);
 
-  testutil::SyntheticRecordOptions opt;
-  opt.ip_space = kIpSpace;
-  opt.switch_space = kSwitchSpace;
-
   std::vector<double> epoch_us;
   auto t0 = std::chrono::steady_clock::now();
   for (int epoch = 1; epoch <= epochs; ++epoch) {
     const uint32_t seed = 0xBE0000u + uint32_t(epoch);
     for (auto& twin : twins) {
-      for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-               records_per_epoch, seed + uint32_t(twin->host()), opt)) {
-        twin->tib().Insert(rec);
-      }
+      IngestSynthetic(twin->tib(), twin->host(), uint32_t(records_per_epoch), seed,
+                      {.ip_space = kIpSpace, .switch_space = kSwitchSpace});
     }
     hub.SendIngest(uint32_t(records_per_epoch), seed, kIpSpace, kSwitchSpace);
     auto e0 = std::chrono::steady_clock::now();

@@ -4,27 +4,19 @@
 //
 // Maps the shared-memory segment the controller created (AddShmPeer, or
 // RestartPeer for incarnation > 0), says Hello carrying the incarnation
-// number, and then serves the command ring until Shutdown:
+// number, and then runs ShmAgentClient::Serve (src/transport/transport.h)
+// until Shutdown: Subscribe, Ingest (IngestSynthetic — the controller's
+// in-test twins derive the identical records, so it can poll them and
+// assert byte-identity without shipping records around), EpochTick,
+// ResyncRequest (crash recovery; see docs/ARCHITECTURE.md).
 //
-//   Subscribe     -> register the standing query; deltas flow back over
-//                    the data ring via the client's delta sink
-//   Ingest        -> insert synthetic TIB records (tests/test_util.h) —
-//                    both sides of the cross-process harness generate
-//                    records from the same (seed, options), so the
-//                    controller can poll an identical in-process twin and
-//                    assert byte-identity without shipping records around
-//   EpochTick     -> tick every standing query, then Ack with the token
-//   ResyncRequest -> ship a full-baseline Snapshot for the subscription
-//                    (crash recovery; see docs/ARCHITECTURE.md)
-//   Shutdown      -> Bye, drain, exit 0
-//
-// The worker also watches the controller's pid (segment header): if the
-// controller dies, the worker exits instead of lingering as an orphan
-// holding the mapping.  tests/transport_multiproc_test.cc forks a fleet
-// of these and SIGKILLs one mid-epoch to exercise crash semantics;
-// tests/transport_chaos_test.cc restarts the victims and asserts full
-// recovery.  PATHDUMP_FAULT_{SEED,DROP,CORRUPT,DELAY,DUP} install a
-// seeded data-plane fault injector (rates per 10,000 frames);
+// While idle the worker watches the controller's pid (segment header):
+// if the controller dies, the worker exits instead of lingering as an
+// orphan holding the mapping.  tests/transport_multiproc_test.cc
+// forks a fleet of these and SIGKILLs one mid-epoch to exercise crash
+// semantics; tests/transport_chaos_test.cc restarts the victims and
+// asserts full recovery.  PATHDUMP_FAULT_{SEED,DROP,CORRUPT,DELAY,DUP}
+// install a seeded data-plane fault injector (rates per 10,000 frames);
 // PATHDUMP_TIB_MAX_BYTES sets a TIB memory ceiling (epoch-windowed
 // eviction — see docs/ARCHITECTURE.md).
 
@@ -46,8 +38,6 @@
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
 #include "src/transport/transport.h"
-#include "src/transport/wire.h"
-#include "tests/test_util.h"
 
 namespace {
 
@@ -110,7 +100,6 @@ int main(int argc, char** argv) {
     cfg.tib_options.max_memory_bytes = std::strtoull(max_bytes, nullptr, 10);
   }
   EdgeAgent agent(host, &topo, &codec, cfg);
-  agent.SetAlarmHandler(client->MakeAlarmSink());
 
   if (!client->SendHello(host, incarnation)) {
     return 3;
@@ -128,9 +117,9 @@ int main(int argc, char** argv) {
     Tracer::Global().WriteChromeTraceFile(path.c_str());
   };
 
-  // Periodic observability report: every ~5s of serving, log what moved
-  // since the last report.  Diffing snapshots keeps the line small and
-  // makes a quiet interval obvious (all zeros).
+  // Periodic observability report: every ~5s of idle serving, log what
+  // moved since the last report.  Diffing snapshots keeps the line small
+  // and makes a quiet interval obvious (all zeros).
   MetricsSnapshot last_snap = MetricsRegistry::Global().Snapshot();
   auto last_report = std::chrono::steady_clock::now();
   auto report_if_due = [&] {
@@ -151,50 +140,13 @@ int main(int argc, char** argv) {
          (unsigned long long)delta.counters["ring.delta_pushes"]);
   };
 
-  for (;;) {
-    DecodedFrame cmd;
-    if (!client->PollCommand(&cmd, 200'000)) {
-      if (!ControllerAlive(client->segment())) {
-        dump_trace();
-        return 0;  // controller died; don't linger as an orphan
-      }
-      report_if_due();
-      continue;
-    }
-    switch (cmd.type) {
-      case FrameType::kSubscribe:
-        agent.RegisterStandingQuery(cmd.subscription_id, cmd.spec, client->MakeDeltaSink());
-        break;
-      case FrameType::kIngest: {
-        testutil::SyntheticRecordOptions opt;
-        opt.ip_space = cmd.ingest_ip_space;
-        opt.switch_space = cmd.ingest_switch_space;
-        // Convention shared with the controller-side twins: each agent
-        // derives its stream as seed + host, so one broadcast Ingest
-        // gives every host distinct-but-reproducible records.
-        for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-                 int(cmd.ingest_count), cmd.ingest_seed + uint32_t(host), opt)) {
-          agent.tib().Insert(rec);
-        }
-        break;
-      }
-      case FrameType::kEpochTick:
-        agent.EpochTick();
-        client->SendAck(host, cmd.token);
-        break;
-      case FrameType::kResyncRequest:
-        // Full-baseline snapshot; the delta sink routes it to a
-        // kSnapshot frame (never faulted) because QueryDelta::snapshot
-        // is set.
-        agent.ResyncStandingQuery(cmd.subscription_id);
-        break;
-      case FrameType::kShutdown:
-        client->SendBye(host);
-        dump_trace();
-        return 0;
-      default:
-        break;  // data-plane frame types never arrive on the cmd ring
+  client->Serve(agent, host, [&] {
+    if (!ControllerAlive(client->segment())) {
+      return false;  // controller died; don't linger as an orphan
     }
     report_if_due();
-  }
+    return true;
+  });
+  dump_trace();
+  return 0;
 }

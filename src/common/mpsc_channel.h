@@ -34,8 +34,6 @@
 //    kBlock nothing submitted successfully is ever dropped, even across
 //    shutdown.  Owners must declare the channel AFTER any state the
 //    consumer callback touches, so that state outlives the final drain.
-//  * Reconfigure() swaps capacity/batch/overflow at runtime; queued
-//    items and cumulative stats carry over.
 //
 // Ownership: the channel owns its queue and drain thread, nothing else.
 // The consumer callback is borrowed state — the owner guarantees it
@@ -74,7 +72,7 @@ struct MpscChannelOptions {
   MpscOverflowPolicy overflow = MpscOverflowPolicy::kBlock;
 };
 
-// All counters are cumulative since construction (Reconfigure keeps them).
+// All counters are cumulative since construction.
 struct MpscChannelStats {
   uint64_t submitted = 0;         // accepted into the queue
   uint64_t dropped = 0;           // rejected (kDropNewest full, or shutdown)
@@ -207,28 +205,11 @@ class MpscChannel {
     flush_cv_.wait(lock, [this, target] { return stats_.processed >= target; });
   }
 
-  // Swaps the queue bound / batch size / overflow policy at runtime.
-  // Queued items and cumulative stats carry over; kBlock producers
-  // waiting on a full queue re-evaluate against the new capacity.
-  void Reconfigure(const MpscChannelOptions& options) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      options_ = options;
-    }
-    space_cv_.notify_all();
-    work_cv_.notify_all();
-  }
-
   MpscChannelStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     MpscChannelStats out = stats_;
     out.depth = queue_.size();
     return out;
-  }
-
-  MpscChannelOptions options() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return options_;
   }
 
  private:
@@ -263,11 +244,11 @@ class MpscChannel {
     }
   }
 
-  mutable std::mutex mu_;             // queue + options + counters
+  mutable std::mutex mu_;             // queue + counters
   std::condition_variable work_cv_;   // queue non-empty / shutdown
   std::condition_variable space_cv_;  // queue has room (kBlock producers)
   std::condition_variable flush_cv_;  // progress for Flush() waiters
-  MpscChannelOptions options_;        // mutable via Reconfigure
+  const MpscChannelOptions options_;
   std::deque<T> queue_;
   bool stop_ = false;
   uint64_t next_seq_ = 0;

@@ -59,10 +59,6 @@
 
 namespace pathdump {
 
-// What Submit() does when the intake queue is full.  (An alias of the
-// shared channel's policy, kept for source compatibility.)
-using AlarmOverflowPolicy = MpscOverflowPolicy;
-
 struct AlarmPipelineOptions {
   // Bound of the intake queue (alarms buffered between Submit and drain).
   size_t queue_capacity = 4096;
@@ -70,7 +66,8 @@ struct AlarmPipelineOptions {
   size_t max_batch = 256;
   // Sim-time dedup window per (host, flow, reason); 0 disables.
   SimTime suppression_window = 0;
-  AlarmOverflowPolicy overflow = AlarmOverflowPolicy::kBlock;
+  // What Submit() does when the intake queue is full.
+  MpscOverflowPolicy overflow = MpscOverflowPolicy::kBlock;
   // Subscriber fan-out parallelism (1 = dispatch inline on the drain
   // worker).  Counts the drain worker itself, like ThreadPool.
   size_t dispatch_workers = 1;

@@ -13,6 +13,7 @@
 #include "src/common/trace.h"
 #include "src/controller/controller.h"
 #include "src/controller/subscription.h"
+#include "src/workload/synthetic_records.h"
 
 namespace pathdump {
 namespace transport {
@@ -237,19 +238,11 @@ uint64_t TransportHub::SendEpochTick() {
 void TransportHub::SendIngest(uint32_t count, uint32_t seed, uint32_t ip_space,
                               uint32_t switch_space) {
   if (options_.backend == TransportOptions::Backend::kInProcess) {
-    if (local_ingest_) {
-      local_ingest_(count, seed, ip_space, switch_space);
-    }
     return;
   }
   std::vector<uint8_t> frame;
   EncodeIngestFrame(count, seed, ip_space, switch_space, frame);
   BroadcastCommand(frame);
-}
-
-void TransportHub::SetLocalIngest(
-    std::function<void(uint32_t, uint32_t, uint32_t, uint32_t)> fn) {
-  local_ingest_ = std::move(fn);
 }
 
 void TransportHub::SendShutdown() {
@@ -874,6 +867,43 @@ bool ShmAgentClient::SendBye(HostId host) {
   scratch_.clear();
   EncodeByeFrame(host, scratch_);
   return PushFrame();
+}
+
+void ShmAgentClient::Serve(EdgeAgent& agent, HostId host, const std::function<bool()>& on_idle) {
+  agent.SetAlarmHandler(MakeAlarmSink());
+  for (;;) {
+    DecodedFrame cmd;
+    if (!PollCommand(&cmd, /*timeout_us=*/100'000)) {
+      if (!on_idle()) {
+        return;
+      }
+      continue;
+    }
+    switch (cmd.type) {
+      case FrameType::kSubscribe:
+        agent.RegisterStandingQuery(cmd.subscription_id, cmd.spec, MakeDeltaSink());
+        break;
+      case FrameType::kIngest:
+        IngestSynthetic(agent.tib(), host, cmd.ingest_count, cmd.ingest_seed,
+                        {.ip_space = cmd.ingest_ip_space,
+                         .switch_space = cmd.ingest_switch_space});
+        break;
+      case FrameType::kEpochTick:
+        agent.EpochTick();
+        SendAck(host, cmd.token);
+        break;
+      case FrameType::kResyncRequest:
+        // QueryDelta::snapshot is set, so the delta sink ships it as an
+        // un-faulted kSnapshot frame.
+        agent.ResyncStandingQuery(cmd.subscription_id);
+        break;
+      case FrameType::kShutdown:
+        SendBye(host);
+        return;
+      default:
+        break;  // data-plane frame types never arrive on the cmd ring
+    }
+  }
 }
 
 bool ShmAgentClient::PollCommand(DecodedFrame* out, int64_t timeout_us) {

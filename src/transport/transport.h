@@ -197,16 +197,10 @@ class TransportHub {
   // before asserting on materialized state.
   uint64_t SendEpochTick();
 
-  // Test/bench harness: ask every agent to insert `count` synthetic
-  // records from `seed` (see EncodeIngestFrame).  In-process mode
-  // delegates to the callback installed with SetLocalIngest.
+  // Test/bench harness: ask every shm agent to run IngestSynthetic
+  // (src/workload/synthetic_records.h) with these arguments.  A no-op
+  // in-process: there the caller inserts into its agents directly.
   void SendIngest(uint32_t count, uint32_t seed, uint32_t ip_space, uint32_t switch_space);
-  // In-process twin of the Ingest frame, installed by the fixture (the
-  // hub cannot synthesize records itself — generation lives in test
-  // utilities).  Called inline from SendIngest.
-  void SetLocalIngest(
-      std::function<void(uint32_t count, uint32_t seed, uint32_t ip_space, uint32_t switch_space)>
-          fn);
 
   // Asks every live shm peer to drain and exit (no-op in-process).
   void SendShutdown();
@@ -296,7 +290,6 @@ class TransportHub {
   const TransportOptions options_;
   const std::string prefix_;
   AlarmHandler alarm_sink_;
-  std::function<void(uint32_t, uint32_t, uint32_t, uint32_t)> local_ingest_;
 
   mutable std::mutex peers_mu_;  // guards peers_ growth + segment swaps
   std::deque<Peer> peers_;       // append-only; stable addresses
@@ -374,6 +367,22 @@ class ShmAgentClient {
   bool gave_up() const { return gave_up_.load(std::memory_order_acquire); }
 
   // --- Commands (controller → agent cmd ring) ---
+  // The agent's side of the channel: wires `agent`'s alarms onto the
+  // data ring, then acts on command frames until a Shutdown (answered
+  // with Bye) or until `on_idle` returns false.  `on_idle` runs after
+  // every poll that found the ring empty for 100 ms — the owner's
+  // liveness checks, periodic reports or stop flag go there.
+  //
+  //   Subscribe     -> register the standing query; its deltas ship
+  //                    through MakeDeltaSink
+  //   Ingest        -> IngestSynthetic into the agent's TIB
+  //   EpochTick     -> tick every standing query, then Ack the token
+  //   ResyncRequest -> ship a full-baseline Snapshot of the subscription
+  //   Shutdown      -> Bye, then return
+  //
+  // Hello stays with the caller (it carries the incarnation).
+  void Serve(EdgeAgent& agent, HostId host, const std::function<bool()>& on_idle);
+
   // Pops one command frame, waiting up to `timeout_us`.  False if none
   // arrived.  Malformed command frames are counted and skipped.
   bool PollCommand(DecodedFrame* out, int64_t timeout_us);

@@ -74,9 +74,8 @@ enum class FrameType : uint8_t {
   kSubscribe = 4,   // install a standing query: (subscription id, spec)
   kEpochTick = 5,   // tick every standing query, then ack with the token
   kAck = 6,         // agent acked (host, token)
-  kIngest = 7,      // test harness: insert synthetic records; agents
-                    // derive their stream as (seed + host) so one
-                    // broadcast yields distinct reproducible TIBs
+  kIngest = 7,      // test harness: run IngestSynthetic
+                    // (src/workload/synthetic_records.h)
 
   kShutdown = 8,    // drain and exit
   kBye = 9,         // agent's graceful goodbye

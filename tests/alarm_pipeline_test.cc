@@ -176,7 +176,7 @@ TEST(AlarmPipelineTest, DropNewestPolicyCountsDrops) {
   AlarmPipelineOptions opts;
   opts.queue_capacity = 4;
   opts.max_batch = 4;
-  opts.overflow = AlarmOverflowPolicy::kDropNewest;
+  opts.overflow = MpscOverflowPolicy::kDropNewest;
   AlarmPipeline pipe(opts);
   std::promise<void> entered_p;
   std::promise<void> release_p;

@@ -5,7 +5,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/common/topk.h"
 #include "src/common/types.h"
 
 namespace pathdump {
@@ -192,40 +191,6 @@ TEST(StatsTest, ImbalanceRate) {
   EXPECT_DOUBLE_EQ(ImbalanceRatePercent({30, 10}), 50.0);
   EXPECT_DOUBLE_EQ(ImbalanceRatePercent({}), 0.0);
   EXPECT_DOUBLE_EQ(ImbalanceRatePercent({0, 0}), 0.0);
-}
-
-TEST(TopKTest, KeepsLargest) {
-  TopK<uint64_t, int> t(3);
-  for (int i = 1; i <= 10; ++i) {
-    t.Add(uint64_t(i), i);
-  }
-  auto sorted = t.SortedDescending();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_EQ(sorted[0].key, 10u);
-  EXPECT_EQ(sorted[1].key, 9u);
-  EXPECT_EQ(sorted[2].key, 8u);
-}
-
-TEST(TopKTest, MergePreservesTop) {
-  TopK<uint64_t, int> a(3), b(3);
-  a.Add(1, 1);
-  a.Add(5, 5);
-  a.Add(9, 9);
-  b.Add(2, 2);
-  b.Add(8, 8);
-  b.Add(10, 10);
-  a.Merge(b);
-  auto sorted = a.SortedDescending();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_EQ(sorted[0].key, 10u);
-  EXPECT_EQ(sorted[1].key, 9u);
-  EXPECT_EQ(sorted[2].key, 8u);
-}
-
-TEST(TopKTest, ZeroCapacity) {
-  TopK<uint64_t, int> t(0);
-  t.Add(5, 5);
-  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(HashTest, MixAvalanche) {

@@ -38,7 +38,7 @@
 #include "src/edge/edge_agent.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
-#include "tests/test_util.h"
+#include "src/workload/synthetic_records.h"
 
 namespace pathdump {
 namespace {
@@ -220,10 +220,8 @@ TEST(EpochPipeline, SnapshotConsistentAndSpanChainComplete) {
   SubscriptionManager manager(&controller);
   const uint64_t sub = SubscribeTopK(manager, hosts, 100);
   for (auto& agent : agents) {
-    for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-             500, 0x7A + uint32_t(agent->host()), {.ip_space = 512, .switch_space = 24})) {
-      agent->tib().Insert(rec);
-    }
+    IngestSynthetic(agent->tib(), agent->host(), 500, 0x7A,
+                    {.ip_space = 512, .switch_space = 24});
   }
   manager.TickEpoch();
   manager.Flush();

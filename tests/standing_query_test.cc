@@ -44,15 +44,16 @@
 #include "src/edge/standing_query.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
+#include "src/workload/synthetic_records.h"
 #include "tests/test_util.h"
 
 namespace pathdump {
 namespace {
 
-// The shared synthetic fixture (tests/test_util.h) at this file's
-// historical distribution (2048-address IP space).
+// The shared synthetic fixture (src/workload/synthetic_records.h) at
+// this file's historical distribution (2048-address IP space).
 std::vector<TibRecord> MakeRecords(int n, uint32_t seed) {
-  return testutil::MakeSyntheticRecords(n, seed, {.ip_space = 2048, .switch_space = 24});
+  return MakeSyntheticRecords(n, seed, {.ip_space = 2048, .switch_space = 24});
 }
 
 constexpr size_t kTopK = 500;

@@ -19,56 +19,12 @@
 namespace pathdump {
 namespace testutil {
 
-// --- Synthetic TIB record fixtures ---
-//
-// One definition for the record streams the shard/standing/channel tests
-// and the query benches all feed their TIBs — the per-file copies used to
-// drift apart one field at a time.  Streams are reproducible: a given
-// (seed, options) pair always yields the same records, and each record
-// consumes a fixed number of rng draws.
-
-struct SyntheticRecordOptions {
-  // Low bits of src/dst IPs are drawn from [0, ip_space).
-  uint32_t ip_space = 4096;
-  // Path switches are drawn from [0, switch_space), path length 3..5.
-  uint32_t switch_space = 24;
-};
-
-// `n` random TIB records from `seed`: random flows, random short paths,
-// uniform sizes — topology-agnostic (paths need not exist anywhere).
-inline std::vector<TibRecord> MakeSyntheticRecords(int n, uint32_t seed,
-                                                   SyntheticRecordOptions opt = {}) {
-  Rng rng(seed);
-  std::vector<TibRecord> out;
-  out.reserve(size_t(n));
-  for (int i = 0; i < n; ++i) {
-    TibRecord rec;
-    rec.flow.src_ip = kHostIpBase | rng.UniformInt(opt.ip_space);
-    rec.flow.dst_ip = kHostIpBase | rng.UniformInt(opt.ip_space);
-    rec.flow.src_port = uint16_t(1024 + rng.UniformInt(20000));
-    rec.flow.dst_port = uint16_t(80 + rng.UniformInt(8));
-    rec.flow.protocol = kProtoTcp;
-    Path p;
-    int len = 3 + int(rng.UniformInt(3));
-    for (int j = 0; j < len; ++j) {
-      p.push_back(SwitchId(rng.UniformInt(opt.switch_space)));
-    }
-    rec.path = CompactPath::FromPath(p);
-    rec.stime = SimTime(rng.UniformInt(3600)) * kNsPerSec;
-    rec.etime = rec.stime + SimTime(rng.UniformInt(5000)) * kNsPerMs;
-    rec.bytes = 100 + rng.UniformInt(1000000);
-    rec.pkts = uint32_t(rec.bytes / 1460 + 1);
-    out.push_back(rec);
-  }
-  return out;
-}
-
 // One synthetic TIB entry terminating at `host` (agent index `a` of the
 // queried population): random remote source, one of its real ECMP paths,
-// heavy-tailed size.  The topology-aware sibling of MakeSyntheticRecords,
-// shared with bench/query_bench_common.h.  Consumes a fixed number of
-// rng draws so record streams are reproducible wherever the same seed is
-// used.
+// heavy-tailed size.  The topology-aware sibling of MakeSyntheticRecords
+// (src/workload/synthetic_records.h), shared with
+// bench/query_bench_common.h.  Consumes a fixed number of rng draws so
+// record streams are reproducible wherever the same seed is used.
 inline TibRecord MakeEcmpRecord(const Topology& topo, const Router& router, size_t a,
                                 HostId host, int e, Rng& rng) {
   const std::vector<HostId>& all_hosts = topo.hosts();

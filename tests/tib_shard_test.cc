@@ -25,7 +25,7 @@
 #include "src/edge/tib.h"
 #include "src/topology/fat_tree.h"
 #include "src/topology/link_labels.h"
-#include "tests/test_util.h"
+#include "src/workload/synthetic_records.h"
 
 namespace pathdump {
 namespace {
@@ -33,10 +33,10 @@ namespace {
 // The paper's per-host TIB population (§5.1).
 constexpr int kEntries = 240000;
 
-// The shared synthetic fixture (tests/test_util.h) at this file's
-// historical distribution (4096-address IP space).
+// The shared synthetic fixture (src/workload/synthetic_records.h) at
+// this file's historical distribution (4096-address IP space).
 std::vector<TibRecord> MakeRecords(int n, uint32_t seed) {
-  return testutil::MakeSyntheticRecords(n, seed, {.ip_space = 4096, .switch_space = 24});
+  return MakeSyntheticRecords(n, seed, {.ip_space = 4096, .switch_space = 24});
 }
 
 std::string ReadFileBytes(const std::string& path) {

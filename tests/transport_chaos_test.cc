@@ -22,27 +22,20 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <signal.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <time.h>
-#include <unistd.h>
 
 #include "src/common/metrics.h"
 #include "src/common/rng.h"
-#include "src/controller/controller.h"
-#include "src/controller/subscription.h"
 #include "src/edge/tib.h"
-#include "src/topology/fat_tree.h"
-#include "src/topology/link_labels.h"
-#include "src/transport/shm_ring.h"
-#include "src/transport/transport.h"
+#include "tests/shm_fleet.h"
 #include "tests/test_util.h"
 
 #ifndef AGENT_WORKER_PATH
@@ -52,23 +45,10 @@
 namespace pathdump {
 namespace {
 
+using testutil::ShmFleet;
 using transport::PeerState;
-using transport::TransportHub;
-using transport::TransportOptions;
 using transport::TransportStats;
 
-std::string TestShmPrefix() { return "/pathdump.chaos." + std::to_string(getpid()) + "."; }
-
-class ShmCleanupEnvironment : public ::testing::Environment {
- public:
-  void TearDown() override { transport::CleanupShmByPrefix(TestShmPrefix()); }
-};
-const auto* const kCleanupEnv =
-    ::testing::AddGlobalTestEnvironment(new ShmCleanupEnvironment());
-
-constexpr uint32_t kIpSpace = 2048;
-constexpr uint32_t kSwitchSpace = 24;
-constexpr size_t kShards = 4;
 constexpr size_t kTopK = 300;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
@@ -81,128 +61,25 @@ uint64_t ChaosSeed() {
   return 0xC4A05;
 }
 
-
-pid_t ForkWorker(const std::string& shm_name, HostId host, uint32_t incarnation) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execl(AGENT_WORKER_PATH, "agent_worker", shm_name.c_str(),
-          std::to_string(host).c_str(), std::to_string(kShards).c_str(),
-          std::to_string(incarnation).c_str(), static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-  return pid;
+testutil::FleetSetup ChaosSetup(size_t num_agents, size_t twin_tib_max_bytes) {
+  testutil::FleetSetup s{.num_agents = num_agents,
+                         .worker = AGENT_WORKER_PATH,
+                         .twin_tib_max_bytes = twin_tib_max_bytes};
+  // Any buffered out-of-order epoch declares the stream stale
+  // immediately: a loss that lands while a snapshot is already in
+  // flight still re-triggers recovery instead of pending forever.
+  s.manager.gap_resync_threshold = 1;
+  return s;
 }
 
-int ReapWithDeadline(pid_t pid, int64_t timeout_us) {
-  const int64_t step_us = 20'000;
-  int status = -1;
-  for (int64_t waited = 0; waited <= timeout_us; waited += step_us) {
-    const pid_t r = waitpid(pid, &status, WNOHANG);
-    if (r == pid) {
-      return status;
-    }
-    if (r < 0) {
-      return -1;
-    }
-    timespec ts{0, step_us * 1000};
-    nanosleep(&ts, nullptr);
-  }
-  kill(pid, SIGKILL);
-  waitpid(pid, &status, 0);
-  return status;
-}
-
-struct ChaosTestbed {
-  Topology topo;
-  LinkLabelMap labels;
-  CherryPickCodec codec;
-  Controller controller;
-  std::vector<std::unique_ptr<EdgeAgent>> twins;
-  SubscriptionManager manager;
-  TransportHub hub;
-  std::vector<HostId> hosts;
-  std::vector<pid_t> pids;
-  // TIB memory ceiling applied to the in-test twins.  The forked
-  // workers read the same value from PATHDUMP_TIB_MAX_BYTES (set by the
-  // eviction-interplay test before the testbed forks them), so both
-  // sides retire the same epochs in lockstep.
-  size_t tib_max_bytes = 0;
-
-  static TransportOptions MakeOptions() {
-    TransportOptions o;
-    o.backend = TransportOptions::Backend::kSharedMemory;
-    o.shm_prefix = TestShmPrefix();
-    return o;
-  }
-  static SubscriptionManagerOptions MakeManagerOptions() {
-    SubscriptionManagerOptions o;
-    // Any buffered out-of-order epoch declares the stream stale
-    // immediately: a loss that lands while a snapshot is already in
-    // flight still re-triggers recovery instead of pending forever.
-    o.gap_resync_threshold = 1;
-    return o;
-  }
-
+// The forked twin fleet (tests/shm_fleet.h) plus chaos's kill, restart
+// and forced-resync steps.  Under a TIB ceiling the twins get it from
+// the setup, and the forked workers read the same value from
+// PATHDUMP_TIB_MAX_BYTES (set by the eviction-interplay test before the
+// fleet forks them), so both sides retire the same epochs in lockstep.
+struct ChaosTestbed : ShmFleet {
   explicit ChaosTestbed(size_t num_agents, size_t max_bytes = 0)
-      : topo(BuildFatTree(4)),
-        labels(&topo),
-        codec(&topo, &labels),
-        manager(&controller, MakeManagerOptions()),
-        hub(&controller, &manager, MakeOptions()) {
-    tib_max_bytes = max_bytes;
-    for (size_t a = 0; a < num_agents; ++a) {
-      HostId h = topo.hosts()[a];
-      hosts.push_back(h);
-      twins.push_back(MakeTwin(h));
-      controller.RegisterAgent(twins.back().get());
-      const std::string name = hub.AddShmPeer(h);
-      EXPECT_FALSE(name.empty());
-      pids.push_back(ForkWorker(name, h, /*incarnation=*/0));
-      EXPECT_GT(pids.back(), 0);
-    }
-  }
-
-  ~ChaosTestbed() {
-    hub.SendShutdown();
-    for (pid_t pid : pids) {
-      if (pid > 0) {
-        ReapWithDeadline(pid, 10'000'000);
-      }
-    }
-  }
-
-  std::unique_ptr<EdgeAgent> MakeTwin(HostId h) {
-    EdgeAgentConfig cfg;
-    cfg.tib_options.num_shards = kShards;
-    cfg.tib_options.max_memory_bytes = tib_max_bytes;
-    return std::make_unique<EdgeAgent>(h, &topo, &codec, cfg);
-  }
-
-  void Ingest(uint32_t count, uint32_t seed) {
-    testutil::SyntheticRecordOptions opt;
-    opt.ip_space = kIpSpace;
-    opt.switch_space = kSwitchSpace;
-    for (auto& twin : twins) {
-      for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-               int(count), seed + uint32_t(twin->host()), opt)) {
-        twin->tib().Insert(rec);
-      }
-    }
-    hub.SendIngest(count, seed, kIpSpace, kSwitchSpace);
-  }
-
-  void Epoch() {
-    const uint64_t token = hub.SendEpochTick();
-    ASSERT_TRUE(hub.WaitForAcks(token, 60'000'000));
-    // Twins seal in lockstep with the workers (the worker ring is FIFO,
-    // so its Ingest precedes its EpochTick exactly as the twin's Insert
-    // calls preceded this).  Under a memory ceiling both sides retire
-    // the same epochs, keeping the poll reference byte-comparable.
-    for (auto& twin : twins) {
-      twin->EpochTick();
-    }
-    hub.Flush();
-  }
+      : ShmFleet(ChaosSetup(num_agents, max_bytes)) {}
 
   // Rebase every stream onto the retained window: stale-mark all
   // sub x host pairs and ship a ResyncRequest for each.  Every request
@@ -215,36 +92,6 @@ struct ChaosTestbed {
         manager.MarkStale(id, h);
         hub.RequestResync(id, h);
       }
-    }
-  }
-
-  // Waits until every triggered resync has completed (no stale stream,
-  // no buffered gap) — byte-identity is only meaningful afterwards.
-  bool Quiesce(const std::vector<uint64_t>& subs, int64_t timeout_us) {
-    const int64_t deadline_us = timeout_us;
-    for (int64_t waited = 0;; waited += 1000) {
-      hub.Flush();
-      bool settled = manager.stale_streams() == 0;
-      for (uint64_t id : subs) {
-        settled = settled && manager.info(id).pending_gaps == 0;
-      }
-      if (settled) {
-        return true;
-      }
-      if (waited >= deadline_us) {
-        return false;
-      }
-      timespec ts{0, 1'000'000};
-      nanosleep(&ts, nullptr);
-    }
-  }
-
-  void ExpectPollIdentity(const std::vector<StandingQuerySpec>& specs,
-                          const std::vector<uint64_t>& subs, const std::string& context) {
-    for (size_t s = 0; s < specs.size(); ++s) {
-      auto [poll, stats] = controller.Execute(hosts, testutil::PollOf(specs[s]));
-      QueryResult standing = manager.Materialize(subs[s]);
-      EXPECT_EQ(standing, poll) << context << ", kind " << s;
     }
   }
 
@@ -262,8 +109,7 @@ struct ChaosTestbed {
     // The reactor detects the dead pid on its next liveness pass.
     for (int64_t waited = 0; hub.peer_state(h) != PeerState::kDead; waited += 1000) {
       ASSERT_LT(waited, 30'000'000) << "hub never detected the death of host " << h;
-      timespec ts{0, 1'000'000};
-      nanosleep(&ts, nullptr);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     // Fresh twin: the poll reference must model the restarted (empty)
     // agent, or identity post-recovery would be unachievable.
@@ -271,7 +117,7 @@ struct ChaosTestbed {
     controller.RegisterAgent(twins[v].get());
     const std::string name = hub.RestartPeer(h);
     ASSERT_FALSE(name.empty());
-    pids[v] = ForkWorker(name, h, hub.peer_incarnation(h));
+    pids[v] = testutil::ForkWorker(setup.worker, name, h, setup.shards, hub.peer_incarnation(h));
     ASSERT_GT(pids[v], 0);
     ASSERT_TRUE(hub.WaitForPeerLive(h, 30'000'000)) << "host " << h << " never rejoined";
   }
@@ -287,8 +133,7 @@ struct ChaosTestbed {
       ASSERT_LT(waited, 30'000'000)
           << "only " << manager.stats().snapshot_folds << " snapshot folds, want >= "
           << expected_min;
-      timespec ts{0, 1'000'000};
-      nanosleep(&ts, nullptr);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 };
@@ -304,10 +149,7 @@ TEST(TransportChaos, KilledAndRestartedAgentsRecoverToByteIdentity) {
 
   const std::vector<StandingQuerySpec> specs =
       testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
-  std::vector<uint64_t> subs;
-  for (const StandingQuerySpec& spec : specs) {
-    subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
-  }
+  const std::vector<uint64_t> subs = tb.SubscribeAll(specs);
 
   Rng rng(seed, /*stream=*/0xC4A05u);
   uint64_t kills = 0;
@@ -362,13 +204,7 @@ TEST(TransportChaos, KilledAndRestartedAgentsRecoverToByteIdentity) {
 
   // Graceful teardown: the whole fleet — restarted incarnations
   // included — says Bye and exits 0.
-  tb.hub.SendShutdown();
-  for (pid_t& pid : tb.pids) {
-    const int status = ReapWithDeadline(pid, 10'000'000);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "worker " << pid << " status " << status;
-    pid = -1;
-  }
+  tb.ExpectWorkersExitCleanly();
 
   // CI artifact: the final process-wide registry (recovery counters
   // included) as JSON.
@@ -405,12 +241,9 @@ TEST(TransportChaos, ResyncAfterEvictionYieldsWindowedByteIdentity) {
   size_t per_record = 0;
   {
     TibOptions opt;
-    opt.num_shards = kShards;
+    opt.num_shards = testutil::kFleetShards;
     Tib probe(opt);
-    testutil::SyntheticRecordOptions ropt;
-    ropt.ip_space = kIpSpace;
-    ropt.switch_space = kSwitchSpace;
-    probe.Insert(testutil::MakeSyntheticRecords(1, 1, ropt)[0]);
+    probe.Insert(MakeSyntheticRecords(1, 1, testutil::kFleetRecords)[0]);
     per_record = probe.bytes_resident();
   }
   ASSERT_GT(per_record, 0u);
@@ -429,10 +262,7 @@ TEST(TransportChaos, ResyncAfterEvictionYieldsWindowedByteIdentity) {
 
   const std::vector<StandingQuerySpec> specs =
       testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
-  std::vector<uint64_t> subs;
-  for (const StandingQuerySpec& spec : specs) {
-    subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
-  }
+  const std::vector<uint64_t> subs = tb.SubscribeAll(specs);
 
   Rng rng(seed, /*stream=*/0xE71Cu);
   uint64_t kills = 0;
@@ -503,13 +333,7 @@ TEST(TransportChaos, ResyncAfterEvictionYieldsWindowedByteIdentity) {
 
   // Graceful teardown: the whole fleet exits 0 even though everything
   // they ever resynced was a truncated window.
-  tb.hub.SendShutdown();
-  for (pid_t& pid : tb.pids) {
-    const int status = ReapWithDeadline(pid, 10'000'000);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "worker " << pid << " status " << status;
-    pid = -1;
-  }
+  tb.ExpectWorkersExitCleanly();
 }
 
 }  // namespace

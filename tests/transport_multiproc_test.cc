@@ -20,23 +20,14 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <signal.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <time.h>
-#include <unistd.h>
 
-#include "src/common/thread_pool.h"
-#include "src/controller/controller.h"
-#include "src/controller/subscription.h"
-#include "src/topology/fat_tree.h"
-#include "src/topology/link_labels.h"
 #include "src/transport/shm_ring.h"
-#include "src/transport/transport.h"
+#include "tests/shm_fleet.h"
 #include "tests/test_util.h"
 
 #ifndef AGENT_WORKER_PATH
@@ -46,147 +37,18 @@
 namespace pathdump {
 namespace {
 
+using testutil::FleetSetup;
+using testutil::ShmFleet;
 using transport::ShmSegment;
-using transport::TransportHub;
-using transport::TransportOptions;
 using transport::TransportStats;
 
-std::string TestShmPrefix() { return "/pathdump.mp." + std::to_string(getpid()) + "."; }
-
-class ShmCleanupEnvironment : public ::testing::Environment {
- public:
-  void TearDown() override { transport::CleanupShmByPrefix(TestShmPrefix()); }
-};
-const auto* const kCleanupEnv =
-    ::testing::AddGlobalTestEnvironment(new ShmCleanupEnvironment());
-
-constexpr uint32_t kIpSpace = 2048;
-constexpr uint32_t kSwitchSpace = 24;
-constexpr size_t kShards = 4;
 constexpr size_t kTopK = 300;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
 
-
-pid_t ForkWorker(const std::string& shm_name, HostId host) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execl(AGENT_WORKER_PATH, "agent_worker", shm_name.c_str(),
-          std::to_string(host).c_str(), std::to_string(kShards).c_str(),
-          static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-  return pid;
-}
-
-// Reaps `pid`, SIGKILLing it if it has not exited within `timeout_us`.
-// Returns the waitpid status (or -1 on reap failure).
-int ReapWithDeadline(pid_t pid, int64_t timeout_us) {
-  const int64_t step_us = 20'000;
-  int status = -1;
-  for (int64_t waited = 0; waited <= timeout_us; waited += step_us) {
-    const pid_t r = waitpid(pid, &status, WNOHANG);
-    if (r == pid) {
-      return status;
-    }
-    if (r < 0) {
-      return -1;
-    }
-    timespec ts{0, step_us * 1000};
-    nanosleep(&ts, nullptr);
-  }
-  kill(pid, SIGKILL);
-  waitpid(pid, &status, 0);
-  return status;
-}
-
-// Forked fleet + in-test twins.  The twins are the poll reference: both
-// sides generate records from (seed + host), so byte-identity across the
-// process boundary is checkable without shipping any records in-test.
-struct MultiprocTestbed {
-  Topology topo;
-  LinkLabelMap labels;
-  CherryPickCodec codec;
-  Controller controller;
-  std::vector<std::unique_ptr<EdgeAgent>> twins;
-  SubscriptionManager manager;
-  TransportHub hub;
-  std::vector<HostId> hosts;
-  std::vector<pid_t> pids;
-
-  static TransportOptions MakeOptions() {
-    TransportOptions o;
-    o.backend = TransportOptions::Backend::kSharedMemory;
-    o.shm_prefix = TestShmPrefix();
-    return o;
-  }
-
-  explicit MultiprocTestbed(size_t num_agents)
-      : topo(BuildFatTree(4)),
-        labels(&topo),
-        codec(&topo, &labels),
-        manager(&controller),
-        hub(&controller, &manager, MakeOptions()) {
-    for (size_t a = 0; a < num_agents; ++a) {
-      HostId h = topo.hosts()[a];
-      hosts.push_back(h);
-      EdgeAgentConfig cfg;
-      cfg.tib_options.num_shards = kShards;
-      twins.push_back(std::make_unique<EdgeAgent>(h, &topo, &codec, cfg));
-      controller.RegisterAgent(twins.back().get());
-      const std::string name = hub.AddShmPeer(h);
-      EXPECT_FALSE(name.empty());
-      pids.push_back(ForkWorker(name, h));
-      EXPECT_GT(pids.back(), 0);
-    }
-  }
-
-  ~MultiprocTestbed() {
-    hub.SendShutdown();
-    for (pid_t pid : pids) {
-      if (pid > 0) {
-        ReapWithDeadline(pid, 10'000'000);
-      }
-    }
-  }
-
-  // Ingests one epoch of records into the twins listed in `into` and
-  // broadcasts the matching Ingest frame to the forked fleet.
-  void Ingest(uint32_t count, uint32_t seed, const std::vector<size_t>& into) {
-    testutil::SyntheticRecordOptions opt;
-    opt.ip_space = kIpSpace;
-    opt.switch_space = kSwitchSpace;
-    for (size_t a : into) {
-      for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-               int(count), seed + uint32_t(twins[a]->host()), opt)) {
-        twins[a]->tib().Insert(rec);
-      }
-    }
-    hub.SendIngest(count, seed, kIpSpace, kSwitchSpace);
-  }
-
-  void Epoch() {
-    const uint64_t token = hub.SendEpochTick();
-    ASSERT_TRUE(hub.WaitForAcks(token, 60'000'000));
-    hub.Flush();
-  }
-
-  void ExpectPollIdentity(const std::vector<StandingQuerySpec>& specs,
-                          const std::vector<uint64_t>& subs, const std::string& context) {
-    for (size_t s = 0; s < specs.size(); ++s) {
-      auto [poll, stats] = controller.Execute(hosts, testutil::PollOf(specs[s]));
-      QueryResult standing = manager.Materialize(subs[s]);
-      EXPECT_EQ(standing, poll) << context << ", kind " << s;
-    }
-  }
-};
-
-std::vector<size_t> AllOf(size_t n) {
-  std::vector<size_t> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = i;
-  }
-  return out;
+// Forked fleet + in-test twins (tests/shm_fleet.h).
+FleetSetup Forked(size_t num_agents) {
+  return {.num_agents = num_agents, .worker = AGENT_WORKER_PATH};
 }
 
 TEST(TransportMultiproc, ForkedAgentsMatchPollByteForByte) {
@@ -194,18 +56,15 @@ TEST(TransportMultiproc, ForkedAgentsMatchPollByteForByte) {
   const uint32_t kPerEpoch = 800;
   const int kEpochs = 3;
 
-  MultiprocTestbed tb(kAgents);
+  ShmFleet tb(Forked(kAgents));
   ASSERT_TRUE(tb.hub.WaitForHellos(30'000'000)) << "agents never mapped their segments";
 
   const std::vector<StandingQuerySpec> specs =
       testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
-  std::vector<uint64_t> subs;
-  for (const StandingQuerySpec& spec : specs) {
-    subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
-  }
+  const std::vector<uint64_t> subs = tb.SubscribeAll(specs);
 
   for (int epoch = 1; epoch <= kEpochs; ++epoch) {
-    tb.Ingest(kPerEpoch, 0xC0DE0000u + uint32_t(epoch), AllOf(kAgents));
+    tb.Ingest(kPerEpoch, 0xC0DE0000u + uint32_t(epoch));
     tb.Epoch();
     if (::testing::Test::HasFatalFailure()) {
       return;
@@ -214,13 +73,7 @@ TEST(TransportMultiproc, ForkedAgentsMatchPollByteForByte) {
   }
 
   // Graceful teardown: every worker says Bye and exits 0.
-  tb.hub.SendShutdown();
-  for (pid_t& pid : tb.pids) {
-    const int status = ReapWithDeadline(pid, 10'000'000);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "worker " << pid << " status " << status;
-    pid = -1;  // already reaped
-  }
+  tb.ExpectWorkersExitCleanly();
 
   const TransportStats st = tb.hub.stats();
   EXPECT_EQ(st.peers, kAgents);
@@ -241,19 +94,16 @@ TEST(TransportMultiproc, SigkilledAgentSurfacesInStatsAndSurvivorsKeepFolding) {
   const size_t kVictim = 1;  // index into tb.hosts/tb.pids
   const uint32_t kPerEpoch = 600;
 
-  MultiprocTestbed tb(kAgents);
+  ShmFleet tb(Forked(kAgents));
   ASSERT_TRUE(tb.hub.WaitForHellos(30'000'000));
 
   const std::vector<StandingQuerySpec> specs =
       testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
-  std::vector<uint64_t> subs;
-  for (const StandingQuerySpec& spec : specs) {
-    subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
-  }
+  const std::vector<uint64_t> subs = tb.SubscribeAll(specs);
 
   // Epochs 1-2: the full fleet participates.
   for (int epoch = 1; epoch <= 2; ++epoch) {
-    tb.Ingest(kPerEpoch, 0xDEAD0000u + uint32_t(epoch), AllOf(kAgents));
+    tb.Ingest(kPerEpoch, 0xDEAD0000u + uint32_t(epoch));
     tb.Epoch();
     if (::testing::Test::HasFatalFailure()) {
       return;
@@ -302,13 +152,8 @@ TEST(TransportMultiproc, SigkilledAgentSurfacesInStatsAndSurvivorsKeepFolding) {
   SubscriptionManagerStats mstats = tb.manager.stats();
   EXPECT_EQ(mstats.deltas_folded, mstats.deltas_submitted);
 
-  // Survivors exit gracefully.
-  tb.hub.SendShutdown();
-  for (size_t a : survivors) {
-    const int status = ReapWithDeadline(tb.pids[a], 10'000'000);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    tb.pids[a] = -1;
-  }
+  // Survivors exit gracefully (the victim's pid is already reaped).
+  tb.ExpectWorkersExitCleanly();
 }
 
 TEST(TransportMultiproc, SegmentsDoNotOutliveTheHub) {
@@ -316,10 +161,10 @@ TEST(TransportMultiproc, SegmentsDoNotOutliveTheHub) {
   // destructor; after it dies, none of this suite's names resolve.
   std::vector<std::string> names;
   {
-    MultiprocTestbed tb(2);
+    ShmFleet tb(Forked(2));
     ASSERT_TRUE(tb.hub.WaitForHellos(30'000'000));
     for (HostId h : tb.hosts) {
-      names.push_back(TestShmPrefix() + std::to_string(h));
+      names.push_back(testutil::FleetShmPrefix() + std::to_string(h));
       EXPECT_NE(ShmSegment::Open(names.back()), nullptr);
     }
   }

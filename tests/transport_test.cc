@@ -16,6 +16,9 @@
 //  5. Reactor resilience — malformed frames on a live ring are counted
 //     by category and the stream recovers; sequence gaps surface in
 //     TransportStats.
+//  6. The agent loop (ShmAgentClient::Serve) — a garbage command frame
+//     is counted and skipped, and a thread-served agent stops on its
+//     owner's flag without a Shutdown frame.
 
 #include <gtest/gtest.h>
 
@@ -27,8 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "src/common/metrics.h"
 #include "src/common/thread_pool.h"
 #include "src/controller/controller.h"
@@ -38,33 +39,20 @@
 #include "src/transport/shm_ring.h"
 #include "src/transport/transport.h"
 #include "src/transport/wire.h"
+#include "tests/shm_fleet.h"
 #include "tests/test_util.h"
 
 namespace pathdump {
 namespace {
 
-using transport::DecodedFrame;
-using transport::FrameType;
+using testutil::Backend;
+using testutil::FleetShmPrefix;
+using testutil::ShmFleet;
 using transport::ShmAgentClient;
 using transport::ShmSegment;
 using transport::ShmSpscRing;
 using transport::TransportHub;
-using transport::TransportOptions;
 using transport::TransportStats;
-
-using Backend = TransportOptions::Backend;
-
-// Every segment this suite creates carries this pid-scoped prefix; the
-// environment teardown below sweeps it so no /dev/shm entry survives
-// even a crashed or failed run.
-std::string TestShmPrefix() { return "/pathdump.test." + std::to_string(getpid()) + "."; }
-
-class ShmCleanupEnvironment : public ::testing::Environment {
- public:
-  void TearDown() override { transport::CleanupShmByPrefix(TestShmPrefix()); }
-};
-const auto* const kCleanupEnv =
-    ::testing::AddGlobalTestEnvironment(new ShmCleanupEnvironment());
 
 // 64-byte-aligned heap memory: the ring control block is cache-line
 // aligned, so plain heap tests must honor the same alignment mmap gives.
@@ -221,7 +209,7 @@ TEST(ShmRing, ThreadedProducerConsumerStress) {
 // --- 3. Segment lifecycle ---
 
 TEST(ShmSegmentTest, CreateOpenRoundTripAndUnlink) {
-  const std::string name = TestShmPrefix() + "seg";
+  const std::string name = FleetShmPrefix() + "seg";
   ShmSegment::Geometry geo;
   geo.data_slot_count = 1 << 6;
   geo.cmd_slot_count = 1 << 4;
@@ -253,205 +241,25 @@ TEST(ShmSegmentTest, CreateOpenRoundTripAndUnlink) {
 }
 
 TEST(ShmSegmentTest, CleanupSweepRemovesLeftoverNames) {
-  const std::string name = TestShmPrefix() + "leftover";
+  const std::string name = FleetShmPrefix() + "leftover";
   auto creator = ShmSegment::Create(name, ShmSegment::Geometry{64, 1 << 4, 64, 1 << 4});
   ASSERT_NE(creator, nullptr);
   ASSERT_NE(ShmSegment::Open(name), nullptr);
   // The sweep a failed test run relies on: name removed while the
   // creator still holds its mapping.
-  transport::CleanupShmByPrefix(TestShmPrefix());
+  transport::CleanupShmByPrefix(FleetShmPrefix());
   EXPECT_EQ(ShmSegment::Open(name), nullptr);
   creator->Unlink();  // idempotent after the sweep
 }
 
 // --- 4. Backend-parametrized standing-query determinism matrix ---
 
-constexpr uint32_t kIpSpace = 2048;
-constexpr uint32_t kSwitchSpace = 24;
 constexpr size_t kTopK = 500;
 constexpr int64_t kBinWidth = 10000;
 const LinkId kProbeLink{3, 7};
 
 const std::vector<StandingQuerySpec> kSpecs =
     testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
-
-// In-process stand-in for examples/agent_worker.cpp: the same command
-// loop, one thread per agent, speaking real frames over real rings.
-// `fault` (if any()) installs a seeded data-plane fault injector on the
-// client, with the usual per-host seed offset.
-class ShmAgentThread {
- public:
-  ShmAgentThread(std::string name, HostId host, size_t shards, const Topology* topo,
-                 const CherryPickCodec* codec,
-                 transport::FaultInjectorConfig fault = {}) {
-    thread_ = std::thread([name = std::move(name), host, shards, topo, codec, fault] {
-      auto client = ShmAgentClient::Open(name);
-      if (client == nullptr) {
-        ADD_FAILURE() << "cannot map " << name;
-        return;
-      }
-      if (fault.any()) {
-        transport::FaultInjectorConfig cfg = fault;
-        cfg.seed += host;
-        client->SetFaultInjector(cfg);
-      }
-      EdgeAgentConfig cfg;
-      cfg.tib_options.num_shards = shards;
-      EdgeAgent agent(host, topo, codec, cfg);
-      agent.SetAlarmHandler(client->MakeAlarmSink());
-      client->SendHello(host);
-      for (;;) {
-        DecodedFrame cmd;
-        if (!client->PollCommand(&cmd, 100'000)) {
-          continue;
-        }
-        switch (cmd.type) {
-          case FrameType::kSubscribe:
-            agent.RegisterStandingQuery(cmd.subscription_id, cmd.spec,
-                                        client->MakeDeltaSink());
-            break;
-          case FrameType::kIngest: {
-            testutil::SyntheticRecordOptions opt;
-            opt.ip_space = cmd.ingest_ip_space;
-            opt.switch_space = cmd.ingest_switch_space;
-            for (const TibRecord& rec : testutil::MakeSyntheticRecords(
-                     int(cmd.ingest_count), cmd.ingest_seed + uint32_t(host), opt)) {
-              agent.tib().Insert(rec);
-            }
-            break;
-          }
-          case FrameType::kEpochTick:
-            agent.EpochTick();
-            client->SendAck(host, cmd.token);
-            break;
-          case FrameType::kResyncRequest:
-            agent.ResyncStandingQuery(cmd.subscription_id);
-            break;
-          case FrameType::kShutdown:
-            client->SendBye(host);
-            return;
-          default:
-            break;
-        }
-      }
-    });
-  }
-  ~ShmAgentThread() { thread_.join(); }
-
- private:
-  std::thread thread_;
-};
-
-// One backend-selected testbed.  The controller's registered agents are
-// the poll reference ("twins"); on the in-process backend they are also
-// the standing-query agents, on the shm backend the standing agents live
-// behind rings (ShmAgentThread) and ingest identical records derived
-// from the shared (seed + host) convention.
-struct TransportTestbed {
-  Topology topo;
-  LinkLabelMap labels;
-  CherryPickCodec codec;
-  Controller controller;
-  // Destruction order is load-bearing: threads exit first (Shutdown is
-  // sent in the destructor body), then the hub joins its reactor, then
-  // the manager detaches its in-process accumulators while the twins
-  // are still alive, then the twins die.
-  std::vector<std::unique_ptr<EdgeAgent>> twins;
-  SubscriptionManager manager;
-  TransportHub hub;
-  std::vector<std::unique_ptr<ShmAgentThread>> threads;
-  std::vector<HostId> hosts;
-  Backend backend;
-
-  static TransportOptions MakeOptions(Backend b) {
-    TransportOptions o;
-    o.backend = b;
-    o.shm_prefix = TestShmPrefix();
-    return o;
-  }
-
-  TransportTestbed(Backend b, size_t num_agents, size_t shards,
-                   SubscriptionManagerOptions mopts = {},
-                   transport::FaultInjectorConfig fault = {})
-      : topo(BuildFatTree(4)),
-        labels(&topo),
-        codec(&topo, &labels),
-        manager(&controller, mopts),
-        hub(&controller, &manager, MakeOptions(b)),
-        backend(b) {
-    for (size_t a = 0; a < num_agents; ++a) {
-      HostId h = topo.hosts()[a];
-      hosts.push_back(h);
-      EdgeAgentConfig cfg;
-      cfg.tib_options.num_shards = shards;
-      twins.push_back(std::make_unique<EdgeAgent>(h, &topo, &codec, cfg));
-      if (b == Backend::kInProcess) {
-        hub.AddLocalAgent(twins.back().get());
-      } else {
-        controller.RegisterAgent(twins.back().get());
-        std::string name = hub.AddShmPeer(h);
-        EXPECT_FALSE(name.empty());
-        threads.push_back(
-            std::make_unique<ShmAgentThread>(name, h, shards, &topo, &codec, fault));
-      }
-    }
-    if (b == Backend::kSharedMemory) {
-      EXPECT_TRUE(hub.WaitForHellos(10'000'000));
-    }
-  }
-
-  // Recovery quiesce: flush, then wait until no stream is stale and no
-  // gap is still buffered — i.e. every loss has been resynced and every
-  // reorder resolved.  Only then is byte-identity meaningful.
-  bool Quiesce(const std::vector<uint64_t>& subs, int64_t timeout_us) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
-    for (;;) {
-      hub.Flush();
-      bool settled = manager.stale_streams() == 0;
-      for (uint64_t id : subs) {
-        settled = settled && manager.info(id).pending_gaps == 0;
-      }
-      if (settled) {
-        return true;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
-  ~TransportTestbed() {
-    hub.SendShutdown();
-    threads.clear();  // joins; workers exit on the Shutdown frame
-  }
-
-  // One epoch's records everywhere: the twins ingest directly; shm
-  // agents get the broadcast Ingest and derive the identical stream.
-  void Ingest(uint32_t count, uint32_t seed) {
-    testutil::SyntheticRecordOptions opt;
-    opt.ip_space = kIpSpace;
-    opt.switch_space = kSwitchSpace;
-    for (auto& twin : twins) {
-      for (const TibRecord& rec :
-           testutil::MakeSyntheticRecords(int(count), seed + uint32_t(twin->host()), opt)) {
-        twin->tib().Insert(rec);
-      }
-    }
-    if (backend == Backend::kSharedMemory) {
-      hub.SendIngest(count, seed, kIpSpace, kSwitchSpace);
-    }
-  }
-
-  // Epoch boundary, synchronized: tick, wait for every agent's ack,
-  // drain the rings, flush the fold.
-  void Epoch() {
-    const uint64_t token = hub.SendEpochTick();
-    ASSERT_TRUE(hub.WaitForAcks(token, 30'000'000));
-    hub.Flush();
-  }
-};
 
 class TransportBackendTest : public ::testing::TestWithParam<Backend> {};
 
@@ -468,11 +276,8 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
   const size_t kAgents = 3;
 
   for (size_t shards : {size_t(1), size_t(4), size_t(16)}) {
-    TransportTestbed tb(GetParam(), kAgents, shards);
-    std::vector<uint64_t> subs;
-    for (const StandingQuerySpec& spec : kSpecs) {
-      subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
-    }
+    ShmFleet tb({.backend = GetParam(), .num_agents = kAgents, .shards = shards});
+    const std::vector<uint64_t> subs = tb.SubscribeAll(kSpecs);
     const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
 
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -490,14 +295,12 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
         for (auto& twin : tb.twins) {
           twin->SetQueryThreadPool(workers > 1 ? &scan_pool : nullptr);
         }
-        for (size_t s = 0; s < kSpecs.size(); ++s) {
-          auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[s]));
-          QueryResult standing = tb.manager.Materialize(subs[s]);
-          EXPECT_EQ(standing, poll)
-              << "backend "
-              << (GetParam() == Backend::kInProcess ? "inproc" : "shm") << ", kind " << s
-              << ", " << shards << " shards, " << workers << " workers, epoch " << epoch;
-        }
+        tb.ExpectPollIdentity(kSpecs, subs,
+                              std::string("backend ") +
+                                  (GetParam() == Backend::kInProcess ? "inproc" : "shm") +
+                                  ", " + std::to_string(shards) + " shards, " +
+                                  std::to_string(workers) + " workers, epoch " +
+                                  std::to_string(epoch));
         for (auto& twin : tb.twins) {
           twin->SetQueryThreadPool(nullptr);
         }
@@ -552,7 +355,7 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
 TEST(TransportHubErrors, MalformedFramesAreCountedAndStreamRecovers) {
   Controller controller;
   SubscriptionManager manager(&controller);
-  TransportHub hub(&controller, &manager, TransportTestbed::MakeOptions(Backend::kSharedMemory));
+  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions(Backend::kSharedMemory));
   const HostId kHost = 42;
   const std::string name = hub.AddShmPeer(kHost);
   ASSERT_FALSE(name.empty());
@@ -643,11 +446,8 @@ TEST(TransportFaultMatrix, EveryFaultKindIsCountedAndNeverFolded) {
     SCOPED_TRACE(fc.label);
     SubscriptionManagerOptions mopts;
     mopts.gap_resync_threshold = fc.gap_resync_threshold;
-    TransportTestbed tb(Backend::kSharedMemory, kAgents, 4, mopts, fc.cfg);
-    std::vector<uint64_t> subs;
-    for (const StandingQuerySpec& spec : kSpecs) {
-      subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
-    }
+    ShmFleet tb({.num_agents = kAgents, .manager = mopts, .fault = fc.cfg});
+    const std::vector<uint64_t> subs = tb.SubscribeAll(kSpecs);
     const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
 
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
@@ -659,11 +459,7 @@ TEST(TransportFaultMatrix, EveryFaultKindIsCountedAndNeverFolded) {
       // Let every triggered resync complete (request -> snapshot ->
       // fold) before comparing against the poll reference.
       ASSERT_TRUE(tb.Quiesce(subs, 20'000'000)) << "epoch " << epoch;
-      for (size_t s = 0; s < kSpecs.size(); ++s) {
-        auto [poll, stats] = tb.controller.Execute(tb.hosts, testutil::PollOf(kSpecs[s]));
-        QueryResult standing = tb.manager.Materialize(subs[s]);
-        EXPECT_EQ(standing, poll) << "kind " << s << ", epoch " << epoch;
-      }
+      tb.ExpectPollIdentity(kSpecs, subs, "epoch " + std::to_string(epoch));
     }
 
     const MetricsSnapshot md = MetricsRegistry::Global().Snapshot().Diff(before);
@@ -715,7 +511,7 @@ TEST(TransportFaultMatrix, EveryFaultKindIsCountedAndNeverFolded) {
 TEST(TransportHubErrors, SequenceGapsSurfaceInStats) {
   Controller controller;
   SubscriptionManager manager(&controller);
-  TransportHub hub(&controller, &manager, TransportTestbed::MakeOptions(Backend::kSharedMemory));
+  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions(Backend::kSharedMemory));
   const HostId kHost = 7;
   const std::string name = hub.AddShmPeer(kHost);
   ASSERT_FALSE(name.empty());
@@ -730,6 +526,60 @@ TEST(TransportHubErrors, SequenceGapsSurfaceInStats) {
   TransportStats st = hub.stats();
   EXPECT_EQ(st.seq_gaps, 5u);
   EXPECT_EQ(st.decode_errors, 0u);
+}
+
+// --- 6. The agent loop ---
+
+TEST(ShmAgentServe, GarbageCommandIsCountedAndNextTickAcked) {
+  Topology topo = BuildFatTree(4);
+  LinkLabelMap labels(&topo);
+  CherryPickCodec codec(&topo, &labels);
+  Controller controller;
+  SubscriptionManager manager(&controller);
+  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions(Backend::kSharedMemory));
+  const HostId kHost = topo.hosts()[0];
+  const std::string name = hub.AddShmPeer(kHost);
+  ASSERT_FALSE(name.empty());
+  auto client = ShmAgentClient::Open(name);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->SendHello(kHost));
+  ASSERT_TRUE(hub.WaitForHellos(10'000'000));
+
+  // Queue the whole conversation before serving it: junk, a tick, and
+  // Shutdown.  A second mapping stands in for the hub's producer side;
+  // the ring's producer state lives in the segment, and the hub pushes
+  // nothing concurrently.
+  auto producer = ShmSegment::Open(name);
+  ASSERT_NE(producer, nullptr);
+  std::vector<uint8_t> junk(24, 0xEE);
+  ASSERT_TRUE(producer->cmd_ring().Push(junk.data(), junk.size(), 1'000'000));
+  const uint64_t token = hub.SendEpochTick();
+  hub.SendShutdown();
+
+  EdgeAgent agent(kHost, &topo, &codec);
+  client->Serve(agent, kHost, [] { return false; });  // returns on the Shutdown
+
+  EXPECT_EQ(client->command_decode_errors(), 1u);
+  EXPECT_TRUE(hub.WaitForAcks(token, 10'000'000));
+  hub.Flush();
+  const TransportStats st = hub.stats();
+  EXPECT_EQ(st.acks, 1u);
+  EXPECT_EQ(st.peers_bye, 1u);
+  EXPECT_EQ(st.decode_errors, 0u);  // the data ring stayed clean
+}
+
+TEST(ShmAgentServe, ThreadAgentStopsWithoutShutdown) {
+  ShmFleet tb({.num_agents = 2});
+  tb.Epoch();
+  if (::testing::Test::HasFatalFailure()) {
+    return;
+  }
+  // No Shutdown frame: each agent's own stop flag must end Serve within
+  // an idle poll or two.
+  const auto t0 = std::chrono::steady_clock::now();
+  tb.threads.clear();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_EQ(tb.hub.stats().peers_bye, 0u);
 }
 
 }  // namespace
