@@ -5,10 +5,12 @@
 //   1. Raw SPSC ring (src/transport/shm_ring.h): producer thread pushes
 //      framed-size payloads, consumer thread pops — messages/sec, MB/s,
 //      and sampled p50/p99 push→pop latency per payload size.
-//   2. End-to-end epoch pipeline per backend (in-process vs shm): a
-//      fleet of agents with standing subscriptions runs ingest →
-//      EpochTick → ack → fold boundaries; reports epoch p50/p99
-//      latency, delta throughput, and wire bytes.  At the end the
+//   2. End-to-end epoch pipeline, in-process vs shm: a fleet of agents
+//      with standing subscriptions runs ingest → EpochTick → ack → fold
+//      boundaries; reports epoch p50/p99 latency, delta throughput, and
+//      wire bytes.  The in-process leg drives SubscriptionManager
+//      directly (Subscribe, TickEpoch, Flush); the shm leg goes through
+//      TransportHub.  At the end the
 //      materialized standing results are checked byte-identical to a
 //      fresh poll — any mismatch exits 1, which is what the quickbench
 //      CTest entry gates on.
@@ -19,7 +21,6 @@
 // single reproducible binary.
 //
 // Env knobs (reduced in CI quick-bench):
-//   PATHDUMP_TRANSPORT          inproc|shm|both   backend matrix (both)
 //   PATHDUMP_TRANSPORT_MSGS     raw-ring messages          (200000)
 //   PATHDUMP_TRANSPORT_AGENTS   fleet size                 (4)
 //   PATHDUMP_TRANSPORT_EPOCHS   epoch boundaries measured  (8)
@@ -164,9 +165,11 @@ class ShmAgentThread {
   std::thread thread_;  // last: starts once stop_ exists
 };
 
-bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epochs,
-                     int records_per_epoch, double* p50_ms_out = nullptr,
-                     bool quiet = false) {
+// One epoch-pipeline leg.  In-process (`shm` false) the twins are the
+// agents and the manager is driven directly; over shm, agent threads
+// behind a TransportHub are the fleet and the twins the poll reference.
+bool PipelineSection(bool shm, int num_agents, int epochs, int records_per_epoch,
+                     double* p50_ms_out = nullptr, bool quiet = false) {
   Topology topo = BuildFatTree(4);
   LinkLabelMap labels(&topo);
   CherryPickCodec codec(&topo, &labels);
@@ -174,30 +177,28 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
   // Twins outlive the manager (its destructor detaches from them).
   std::vector<std::unique_ptr<EdgeAgent>> twins;
   SubscriptionManager manager(&controller);
-  TransportOptions options;
-  options.backend = backend;
-  options.shm_prefix = BenchShmPrefix();
-  TransportHub hub(&controller, &manager, options);
+  std::unique_ptr<TransportHub> hub;
   std::vector<std::unique_ptr<ShmAgentThread>> threads;
   std::vector<HostId> hosts;
+  if (shm) {
+    TransportOptions options;
+    options.shm_prefix = BenchShmPrefix();
+    hub = std::make_unique<TransportHub>(&controller, &manager, options);
+  }
 
-  const bool shm = backend == TransportOptions::Backend::kSharedMemory;
   for (int a = 0; a < num_agents; ++a) {
     const HostId host = topo.hosts()[size_t(a)];
     hosts.push_back(host);
     EdgeAgentConfig cfg;
     cfg.tib_options.num_shards = kShards;
     twins.push_back(std::make_unique<EdgeAgent>(host, &topo, &codec, cfg));
+    controller.RegisterAgent(twins.back().get());
     if (shm) {
-      // The twin is the poll reference; the agent thread is the fleet.
-      controller.RegisterAgent(twins.back().get());
       threads.push_back(
-          std::make_unique<ShmAgentThread>(hub.AddShmPeer(host), host, &topo, &codec));
-    } else {
-      hub.AddLocalAgent(twins.back().get());
+          std::make_unique<ShmAgentThread>(hub->AddShmPeer(host), host, &topo, &codec));
     }
   }
-  if (shm && !hub.WaitForHellos(10'000'000)) {
+  if (shm && !hub->WaitForHellos(10'000'000)) {
     std::printf("shm agents never said hello\n");
     return false;
   }
@@ -208,8 +209,11 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
   StandingQuerySpec list;
   list.kind = StandingQuerySpec::Kind::kFlowList;
   list.link = kProbeLink;
-  const uint64_t topk_sub = hub.Subscribe(hosts, topk);
-  const uint64_t list_sub = hub.Subscribe(hosts, list);
+  auto subscribe = [&](const StandingQuerySpec& spec) {
+    return shm ? hub->Subscribe(hosts, spec) : manager.Subscribe(hosts, spec);
+  };
+  const uint64_t topk_sub = subscribe(topk);
+  const uint64_t list_sub = subscribe(list);
 
   std::vector<double> epoch_us;
   auto t0 = std::chrono::steady_clock::now();
@@ -219,14 +223,20 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
       IngestSynthetic(twin->tib(), twin->host(), uint32_t(records_per_epoch), seed,
                       {.ip_space = kIpSpace, .switch_space = kSwitchSpace});
     }
-    hub.SendIngest(uint32_t(records_per_epoch), seed, kIpSpace, kSwitchSpace);
-    auto e0 = std::chrono::steady_clock::now();
-    const uint64_t token = hub.SendEpochTick();
-    if (!hub.WaitForAcks(token, 30'000'000)) {
-      std::printf("epoch %d never acked\n", epoch);
-      return false;
+    if (shm) {
+      hub->SendIngest(uint32_t(records_per_epoch), seed, kIpSpace, kSwitchSpace);
     }
-    hub.Flush();
+    auto e0 = std::chrono::steady_clock::now();
+    if (shm) {
+      if (!hub->WaitForAcks(hub->SendEpochTick(), 30'000'000)) {
+        std::printf("epoch %d never acked\n", epoch);
+        return false;
+      }
+      hub->Flush();
+    } else {
+      manager.TickEpoch();
+      manager.Flush();
+    }
     epoch_us.push_back(Seconds(e0) * 1e6);
   }
   const double total_s = Seconds(t0);
@@ -241,7 +251,6 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
   const bool identical = manager.Materialize(topk_sub) == controller.Execute(hosts, poll_topk).first &&
                          manager.Materialize(list_sub) == controller.Execute(hosts, poll_list).first;
 
-  const TransportStats st = hub.stats();
   const SubscriptionManagerStats ms = manager.stats();
   const double p50_ms = Percentile(epoch_us, 0.50) / 1e3;
   const double p99_ms = Percentile(epoch_us, 0.99) / 1e3;
@@ -249,10 +258,10 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
     *p50_ms_out = p50_ms;
   }
   if (!quiet) {
-    std::printf("%-8s %7d %7d %10.2f %10.2f %12.0f %12.1f %10s\n", bench::BackendName(backend),
+    std::printf("%-8s %7d %7d %10.2f %10.2f %12.0f %12.1f %10s\n", shm ? "shm" : "inproc",
                 num_agents, epochs, p50_ms, p99_ms, double(ms.deltas_folded) / total_s,
                 double(ms.delta_bytes) / 1e3, identical ? "yes" : "NO");
-    const std::string section = std::string("pipeline.") + bench::BackendName(backend);
+    const std::string section = std::string("pipeline.") + (shm ? "shm" : "inproc");
     bench::BenchReport& report = bench::BenchReport::Global();
     report.Add(section, "epoch_p50", p50_ms, "ms");
     report.Add(section, "epoch_p99", p99_ms, "ms");
@@ -261,13 +270,16 @@ bool PipelineSection(TransportOptions::Backend backend, int num_agents, int epoc
     report.Add(section, "identical", identical ? 1 : 0, "bool");
   }
   if (shm && !quiet) {
+    const TransportStats st = hub->stats();
     std::printf("         shm detail: frames %llu, wire %.1f KB, blocked pushes %llu, "
                 "seq gaps %llu, decode errors %llu\n",
                 (unsigned long long)st.frames, double(st.bytes) / 1e3,
                 (unsigned long long)st.blocked_pushes, (unsigned long long)st.seq_gaps,
                 (unsigned long long)st.decode_errors);
   }
-  hub.SendShutdown();
+  if (shm) {
+    hub->SendShutdown();
+  }
   threads.clear();
   return identical;
 }
@@ -284,17 +296,17 @@ bool OverheadSection(int num_agents, int epochs, int records_per_epoch) {
 
   double warm_ms = 0, on_ms = 0, off_ms = 0;
   // Warmup run (populates registry handles, page-faults the rings).
-  bool ok = PipelineSection(TransportOptions::Backend::kInProcess, num_agents, epochs,
-                            records_per_epoch, &warm_ms, /*quiet=*/true);
+  bool ok = PipelineSection(/*shm=*/false, num_agents, epochs, records_per_epoch, &warm_ms,
+                            /*quiet=*/true);
   MetricsRegistry::SetEnabled(false);
   Tracer::Global().SetEnabled(false);
-  ok = PipelineSection(TransportOptions::Backend::kInProcess, num_agents, epochs,
-                       records_per_epoch, &off_ms, /*quiet=*/true) &&
+  ok = PipelineSection(/*shm=*/false, num_agents, epochs, records_per_epoch, &off_ms,
+                       /*quiet=*/true) &&
        ok;
   MetricsRegistry::SetEnabled(true);
   Tracer::Global().SetEnabled(true);
-  ok = PipelineSection(TransportOptions::Backend::kInProcess, num_agents, epochs,
-                       records_per_epoch, &on_ms, /*quiet=*/true) &&
+  ok = PipelineSection(/*shm=*/false, num_agents, epochs, records_per_epoch, &on_ms,
+                       /*quiet=*/true) &&
        ok;
 
   const double delta_ms = on_ms - off_ms;
@@ -330,19 +342,19 @@ int Main() {
 
   RawRingSection(messages);
 
-  bench::Section("epoch pipeline: ingest -> tick -> ack -> fold, per backend");
-  std::printf("%-8s %7s %7s %10s %10s %12s %12s %10s\n", "backend", "agents", "epochs",
+  bench::Section("epoch pipeline: ingest -> tick -> ack -> fold, in-process vs shm");
+  std::printf("%-8s %7s %7s %10s %10s %12s %12s %10s\n", "path", "agents", "epochs",
               "p50(ms)", "p99(ms)", "deltas/s", "delta(KB)", "identical");
   bool all_identical = true;
-  for (TransportOptions::Backend backend : bench::BackendsFromEnv()) {
-    all_identical = PipelineSection(backend, num_agents, epochs, records) && all_identical;
+  for (bool shm : {false, true}) {
+    all_identical = PipelineSection(shm, num_agents, epochs, records) && all_identical;
   }
 
   all_identical = OverheadSection(num_agents, epochs, records) && all_identical;
   transport::CleanupShmByPrefix(BenchShmPrefix());
 
   bench::Section("shape check");
-  std::printf("standing results byte-identical to fresh polls on every backend: %s\n",
+  std::printf("standing results byte-identical to fresh polls on both paths: %s\n",
               all_identical ? "YES" : "NO");
   bench::BenchReport::Global().WriteIfRequested();
   return all_identical ? 0 : 1;

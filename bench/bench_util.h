@@ -3,10 +3,7 @@
 // rows that EXPERIMENTS.md records.
 //
 // Also home to the knobs shared across drivers: env-int parsing,
-// steady-clock timing, percentile math, and the transport backend
-// selector (PATHDUMP_TRANSPORT=inproc|shm|both) that bench_transport
-// and the quickbench gates use to pick which side of the
-// TransportOptions::Backend matrix to run.
+// steady-clock timing and percentile math.
 //
 // Machine-readable output: benches call BenchReport::Add(section, metric,
 // value, unit) alongside their printf rows, and WriteIfRequested() on
@@ -23,8 +20,6 @@
 #include <cstdlib>
 #include <string>
 #include <vector>
-
-#include "src/transport/transport.h"
 
 namespace pathdump {
 namespace bench {
@@ -139,25 +134,6 @@ inline double Percentile(std::vector<double>& v, double p) {
   std::sort(v.begin(), v.end());
   size_t idx = size_t(p * double(v.size() - 1));
   return v[idx];
-}
-
-// Which transport backends a bench should exercise, from
-// PATHDUMP_TRANSPORT: "inproc", "shm", or anything else / unset = both.
-inline std::vector<transport::TransportOptions::Backend> BackendsFromEnv() {
-  using Backend = transport::TransportOptions::Backend;
-  const char* env = getenv("PATHDUMP_TRANSPORT");
-  const std::string v = env != nullptr ? env : "";
-  if (v == "inproc") {
-    return {Backend::kInProcess};
-  }
-  if (v == "shm") {
-    return {Backend::kSharedMemory};
-  }
-  return {Backend::kInProcess, Backend::kSharedMemory};
-}
-
-inline const char* BackendName(transport::TransportOptions::Backend b) {
-  return b == transport::TransportOptions::Backend::kInProcess ? "inproc" : "shm";
 }
 
 }  // namespace bench

@@ -8,7 +8,7 @@
 // time.  DESIGN.md documents this substitution.
 //
 // The shared-memory transport (src/transport/) narrows the substitution
-// for the standing-query and alarm paths: with the kSharedMemory backend
+// for the standing-query and alarm paths: over its shared-memory hub
 // those frames are really encoded (src/transport/wire.h — a QueryDelta
 // frame is exactly QueryDelta::SerializedSize() bytes) and really cross
 // a process boundary, so their byte counts are measured on the wire.

@@ -33,6 +33,19 @@ void NapUs(int64_t us) {
   nanosleep(&ts, nullptr);
 }
 
+// How long a blocking ring push may wait for space before failing.
+constexpr int64_t kPushTimeoutUs = 5'000'000;
+// Nap between checks of a hub wait, and the reactor's idle park.
+constexpr int64_t kWaitNapUs = 500;
+// Flush naps shorter: it sits inside every epoch boundary.
+constexpr int64_t kFlushNapUs = 200;
+
+// Excused peers: skipped by broadcasts, WaitForAcks and Flush.
+bool Excused(PeerState s) { return s != PeerState::kConnecting && s != PeerState::kLive; }
+
+// Dead peers: no agent, and no rejoin pending.
+bool Dead(PeerState s) { return s == PeerState::kDead || s == PeerState::kGaveUp; }
+
 bool PidAlive(uint32_t pid) {
   if (pid == 0) {
     return true;  // unknown yet — assume alive until Hello names it
@@ -42,26 +55,9 @@ bool PidAlive(uint32_t pid) {
 
 }  // namespace
 
-const char* PeerStateName(PeerState s) {
-  switch (s) {
-    case PeerState::kConnecting:
-      return "connecting";
-    case PeerState::kLive:
-      return "live";
-    case PeerState::kDead:
-      return "dead";
-    case PeerState::kRejoining:
-      return "rejoining";
-    case PeerState::kGaveUp:
-      return "gave-up";
-  }
-  return "?";
-}
-
 TransportHub::TransportHub(Controller* controller, SubscriptionManager* manager,
                            TransportOptions options)
-    : controller_(controller),
-      manager_(manager),
+    : manager_(manager),
       options_(std::move(options)),
       prefix_(options_.shm_prefix.empty()
                   ? "/pathdump." + std::to_string(getpid()) + "."
@@ -82,37 +78,27 @@ TransportHub::TransportHub(Controller* controller, SubscriptionManager* manager,
         snap.counters["transport.stale_shm_reclaimed"] += s.stale_shm_reclaimed;
         snap.gauges["transport.peers_dead"] += int64_t(s.peers_dead);
       }) {
-  if (options_.backend == TransportOptions::Backend::kSharedMemory) {
-    if (options_.sweep_stale_shm_on_start) {
-      // Reclaim segments a SIGKILLed earlier fleet left in /dev/shm.
-      // Dead-owner mode only: a parallel suite's live segments (their
-      // controller pid answers kill(pid, 0)) are never touched.
-      const size_t n = CleanupShmByPrefix("/pathdump.", /*only_dead_owners=*/true);
-      if (n > 0) {
-        stale_shm_reclaimed_.store(n, std::memory_order_release);
-        std::fprintf(stderr, "[transport] startup sweep reclaimed %zu stale shm segment(s)\n",
-                     n);
-      }
-    }
-    // Gap-threshold staleness self-heals: when the manager declares a
-    // stream stale it asks us to ship the ResyncRequest.
-    manager_->SetResyncRequester(
-        [this](uint64_t id, HostId host) { RequestResync(id, host); });
-    reactor_ = std::thread([this] { ReactorLoop(); });
+  // Reclaim segments a SIGKILLed earlier fleet left in /dev/shm.
+  // Dead-owner mode only: a parallel suite's live segments (their
+  // controller pid answers kill(pid, 0)) are never touched.
+  const size_t n = CleanupShmByPrefix("/pathdump.", /*only_dead_owners=*/true);
+  if (n > 0) {
+    stale_shm_reclaimed_.store(n, std::memory_order_release);
+    std::fprintf(stderr, "[transport] startup sweep reclaimed %zu stale shm segment(s)\n", n);
   }
+  // Gap-threshold staleness self-heals: when the manager declares a
+  // stream stale it asks us to ship the ResyncRequest.
+  manager_->SetResyncRequester([this](uint64_t id, HostId host) { RequestResync(id, host); });
+  reactor_ = std::thread([this] { ReactorLoop(); });
 }
 
 TransportHub::~TransportHub() {
-  if (options_.backend == TransportOptions::Backend::kSharedMemory) {
-    // Unhook the requester, then drain any fold batch that already
-    // copied it — after Flush returns no callback can still reach us.
-    manager_->SetResyncRequester(nullptr);
-    manager_->Flush();
-  }
+  // Unhook the requester, then drain any fold batch that already
+  // copied it — after Flush returns no callback can still reach us.
+  manager_->SetResyncRequester(nullptr);
+  manager_->Flush();
   stop_.store(true, std::memory_order_release);
-  if (reactor_.joinable()) {
-    reactor_.join();
-  }
+  reactor_.join();
   // Segments unlink themselves (owner destructor), but be explicit so a
   // throwing member destructor can never leak a /dev/shm entry.
   for (Peer& peer : peers_) {
@@ -123,11 +109,8 @@ TransportHub::~TransportHub() {
 }
 
 std::string TransportHub::AddShmPeer(HostId host) {
-  if (options_.backend != TransportOptions::Backend::kSharedMemory) {
-    return "";
-  }
   const std::string name = prefix_ + std::to_string(host);
-  auto segment = ShmSegment::Create(name, options_.geometry);
+  auto segment = ShmSegment::Create(name, ShmSegment::Geometry{});
   if (segment == nullptr) {
     return "";
   }
@@ -154,25 +137,6 @@ std::shared_ptr<ShmSegment> TransportHub::SegmentOf(const Peer& peer) const {
   return peer.segment;
 }
 
-void TransportHub::AddLocalAgent(EdgeAgent* agent) {
-  controller_->RegisterAgent(agent);
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  peers_.emplace_back();
-  Peer& peer = peers_.back();
-  peer.host = agent->host();
-  peer.hello.store(true, std::memory_order_release);
-}
-
-std::vector<HostId> TransportHub::hosts() const {
-  std::vector<HostId> out;
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  out.reserve(peers_.size());
-  for (const Peer& peer : peers_) {
-    out.push_back(peer.host);
-  }
-  return out;
-}
-
 std::vector<TransportHub::Peer*> TransportHub::SnapshotPeers() const {
   std::vector<Peer*> out;
   std::lock_guard<std::mutex> lock(peers_mu_);
@@ -183,34 +147,43 @@ std::vector<TransportHub::Peer*> TransportHub::SnapshotPeers() const {
   return out;
 }
 
+bool TransportHub::WaitUntil(const std::function<bool()>& done, int64_t timeout_us,
+                             int64_t nap_us) {
+  const int64_t start = NowUs();
+  for (;;) {
+    if (done()) {
+      return true;
+    }
+    if (timeout_us >= 0 && NowUs() - start >= timeout_us) {
+      return false;
+    }
+    NapUs(nap_us);
+  }
+}
+
 bool TransportHub::PushCommand(ShmSegment& segment, const std::vector<uint8_t>& frame) {
   // The cmd ring is SPSC; the reactor (rejoin/resync sends) and API
   // threads (broadcasts) share the producer side, so serialize here.  A
   // dead-but-undetected peer never pops its command ring; the bounded
   // push keeps callers from hanging on it.
   std::lock_guard<std::mutex> lock(cmd_mu_);
-  return segment.cmd_ring().Push(frame.data(), frame.size(), options_.push_timeout_us);
+  return segment.cmd_ring().Push(frame.data(), frame.size(), kPushTimeoutUs);
 }
 
 void TransportHub::BroadcastCommand(const std::vector<uint8_t>& frame) {
   for (Peer* peer : SnapshotPeers()) {
-    if (peer->dead.load(std::memory_order_acquire) ||
-        peer->bye.load(std::memory_order_acquire)) {
+    if (Excused(peer->state.load(std::memory_order_acquire))) {
       continue;
     }
     auto segment = SegmentOf(*peer);
-    if (segment == nullptr) {
-      continue;
+    if (segment != nullptr) {
+      PushCommand(*segment, frame);
     }
-    PushCommand(*segment, frame);
   }
 }
 
 uint64_t TransportHub::Subscribe(const std::vector<HostId>& hosts,
                                  const StandingQuerySpec& spec) {
-  if (options_.backend == TransportOptions::Backend::kInProcess) {
-    return manager_->Subscribe(hosts, spec);
-  }
   const uint64_t id = manager_->SubscribeRemote(hosts, spec);
   {
     // Remembered so a rejoining peer can be re-subscribed and resynced.
@@ -225,10 +198,6 @@ uint64_t TransportHub::Subscribe(const std::vector<HostId>& hosts,
 
 uint64_t TransportHub::SendEpochTick() {
   const uint64_t token = next_token_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (options_.backend == TransportOptions::Backend::kInProcess) {
-    manager_->TickEpoch();
-    return token;  // synchronous: already "acked"
-  }
   std::vector<uint8_t> frame;
   EncodeEpochTickFrame(token, frame);
   BroadcastCommand(frame);
@@ -237,97 +206,66 @@ uint64_t TransportHub::SendEpochTick() {
 
 void TransportHub::SendIngest(uint32_t count, uint32_t seed, uint32_t ip_space,
                               uint32_t switch_space) {
-  if (options_.backend == TransportOptions::Backend::kInProcess) {
-    return;
-  }
   std::vector<uint8_t> frame;
   EncodeIngestFrame(count, seed, ip_space, switch_space, frame);
   BroadcastCommand(frame);
 }
 
 void TransportHub::SendShutdown() {
-  if (options_.backend == TransportOptions::Backend::kInProcess) {
-    return;
-  }
   std::vector<uint8_t> frame;
   EncodeShutdownFrame(frame);
   BroadcastCommand(frame);
 }
 
 bool TransportHub::WaitForHellos(int64_t timeout_us) {
-  const int64_t deadline = NowUs() + timeout_us;
-  for (;;) {
-    bool all = true;
-    for (Peer* peer : SnapshotPeers()) {
-      if (!peer->hello.load(std::memory_order_acquire) &&
-          !peer->dead.load(std::memory_order_acquire)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      return true;
-    }
-    if (NowUs() >= deadline) {
-      return false;
-    }
-    NapUs(500);
-  }
+  return WaitUntil(
+      [this] {
+        for (Peer* peer : SnapshotPeers()) {
+          if (peer->state.load(std::memory_order_acquire) == PeerState::kConnecting) {
+            return false;
+          }
+        }
+        return true;
+      },
+      timeout_us, kWaitNapUs);
 }
 
 bool TransportHub::WaitForAcks(uint64_t token, int64_t timeout_us) {
-  if (options_.backend == TransportOptions::Backend::kInProcess) {
-    return true;
-  }
-  const int64_t deadline = NowUs() + timeout_us;
-  for (;;) {
-    bool all = true;
-    for (Peer* peer : SnapshotPeers()) {
-      if (peer->dead.load(std::memory_order_acquire) ||
-          peer->bye.load(std::memory_order_acquire)) {
-        continue;  // excused — a killed agent never wedges the epoch
-      }
-      if (peer->last_ack.load(std::memory_order_acquire) < token) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      return true;
-    }
-    if (NowUs() >= deadline) {
-      return false;
-    }
-    NapUs(500);
-  }
+  return WaitUntil(
+      [this, token] {
+        for (Peer* peer : SnapshotPeers()) {
+          // Excused peers are skipped — a killed agent never wedges the epoch.
+          if (!Excused(peer->state.load(std::memory_order_acquire)) &&
+              peer->last_ack.load(std::memory_order_acquire) < token) {
+            return false;
+          }
+        }
+        return true;
+      },
+      timeout_us, kWaitNapUs);
 }
 
 void TransportHub::Flush() {
-  if (options_.backend == TransportOptions::Backend::kSharedMemory) {
-    // Rings empty AND the reactor not mid-dispatch ⇒ every published
-    // frame has reached its downstream consumer (or, lost, marked its
-    // streams stale).  Rings first: the reactor raises dispatching_
-    // before it pops, so a ring seen empty by a pop is covered by the
-    // flag read after it.
-    for (;;) {
-      bool quiescent = true;
-      for (Peer* peer : SnapshotPeers()) {
-        if (peer->dead.load(std::memory_order_acquire)) {
-          continue;
+  // Rings empty AND the reactor not mid-dispatch ⇒ every published
+  // frame has reached its downstream consumer (or, lost, marked its
+  // streams stale).  Rings first: the reactor raises dispatching_
+  // before it pops, so a ring seen empty by a pop is covered by the
+  // flag read after it.
+  WaitUntil(
+      [this] {
+        for (Peer* peer : SnapshotPeers()) {
+          if (Excused(peer->state.load(std::memory_order_acquire))) {
+            continue;
+          }
+          auto segment = SegmentOf(*peer);
+          if (segment != nullptr && !segment->data_ring().empty() &&
+              !segment->data_ring().corrupt()) {
+            return false;
+          }
         }
-        auto segment = SegmentOf(*peer);
-        if (segment != nullptr && !segment->data_ring().empty() &&
-            !segment->data_ring().corrupt()) {
-          quiescent = false;
-          break;
-        }
-      }
-      if (quiescent && !dispatching_.load(std::memory_order_acquire)) {
-        break;
-      }
-      NapUs(200);
-    }
-  }
+        return !dispatching_.load(std::memory_order_acquire);
+      },
+      /*timeout_us=*/-1, kFlushNapUs);
   manager_->Flush();
 }
 
@@ -358,19 +296,12 @@ TransportStats TransportHub::stats() const {
   out.seq_gaps = retired_seq_gaps_.load(std::memory_order_acquire);
   out.blocked_pushes = retired_blocked_pushes_.load(std::memory_order_acquire);
   for (Peer* peer : SnapshotPeers()) {
+    const PeerState state = peer->state.load(std::memory_order_acquire);
     ++out.peers;
-    if (peer->hello.load(std::memory_order_acquire)) {
-      ++out.peers_hello;
-    }
-    if (peer->bye.load(std::memory_order_acquire)) {
-      ++out.peers_bye;
-    }
-    if (peer->dead.load(std::memory_order_acquire)) {
-      ++out.peers_dead;
-    }
-    if (peer->state.load(std::memory_order_acquire) == PeerState::kRejoining) {
-      ++out.peers_rejoining;
-    }
+    out.peers_hello += state != PeerState::kConnecting;
+    out.peers_bye += state == PeerState::kDeparted;
+    out.peers_dead += Dead(state);
+    out.peers_rejoining += state == PeerState::kRejoining;
     auto segment = SegmentOf(*peer);
     if (segment != nullptr) {
       out.seq_gaps += segment->data_ring().seq_gaps();
@@ -394,7 +325,7 @@ uint32_t TransportHub::peer_incarnation(HostId host) const {
 std::vector<HostId> TransportHub::dead_hosts() const {
   std::vector<HostId> out;
   for (Peer* peer : SnapshotPeers()) {
-    if (peer->dead.load(std::memory_order_acquire)) {
+    if (Dead(peer->state.load(std::memory_order_acquire))) {
       out.push_back(peer->host);
     }
   }
@@ -402,68 +333,60 @@ std::vector<HostId> TransportHub::dead_hosts() const {
 }
 
 std::string TransportHub::RestartPeer(HostId host) {
-  if (options_.backend != TransportOptions::Backend::kSharedMemory) {
-    return "";
-  }
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  Peer* peer = nullptr;
-  for (Peer& p : peers_) {
-    if (p.host == host) {
-      peer = &p;
-      break;
-    }
-  }
+  Peer* peer = const_cast<Peer*>(FindPeer(host));
   if (peer == nullptr) {
     return "";
   }
-  const PeerState state = peer->state.load(std::memory_order_acquire);
-  if (state == PeerState::kLive && !peer->dead.load(std::memory_order_acquire)) {
-    return "";  // refuse to retire a live peer
+  // Held throughout, so the reactor's Hello transitions (also under
+  // peers_mu_) see either the old segment and state or the new pair.
+  std::lock_guard<std::mutex> lock(peers_mu_);
+  auto refused = [](PeerState s) { return s == PeerState::kLive || s == PeerState::kRejoining; };
+  PeerState state = peer->state.load(std::memory_order_acquire);
+  if (refused(state)) {
+    return "";
+  }
+  const uint32_t incarnation = peer->incarnation.load(std::memory_order_acquire) + 1;
+  const std::string name =
+      prefix_ + std::to_string(host) + ".i" + std::to_string(incarnation);
+  auto segment = ShmSegment::Create(name, ShmSegment::Geometry{});
+  if (segment == nullptr) {
+    return "";
+  }
+  // The deadline is armed before the state says kRejoining, so the
+  // reactor never judges this window by a stale one.
+  peer->rejoin_deadline_us.store(NowUs() + options_.rejoin_timeout_us,
+                                 std::memory_order_release);
+  // The reactor may move the peer concurrently (a connecting peer's ring
+  // turns corrupt, a Bye lands); retry from wherever it moved it.
+  while (!Transition(*peer, state, PeerState::kRejoining)) {
+    state = peer->state.load(std::memory_order_acquire);
+    if (refused(state)) {
+      return "";  // the new segment unlinks itself on destruction
+    }
   }
   if (peer->segment != nullptr) {
     // Fold the retiring segment's consumer counters into hub totals so
     // stats() stays cumulative, then drop the /dev/shm name.  The
-    // mapping itself lives until the last SegmentRef holder (reactor
-    // mid-pass) releases it.
+    // mapping itself lives until the last reader (reactor mid-pass)
+    // releases it.
     retired_seq_gaps_.fetch_add(peer->segment->data_ring().seq_gaps(),
                                 std::memory_order_acq_rel);
     retired_blocked_pushes_.fetch_add(peer->segment->data_ring().blocked_pushes(),
                                       std::memory_order_acq_rel);
     peer->segment->Unlink();
   }
-  const uint32_t incarnation = peer->incarnation.load(std::memory_order_acquire) + 1;
-  const std::string name =
-      prefix_ + std::to_string(host) + ".i" + std::to_string(incarnation);
-  auto segment = ShmSegment::Create(name, options_.geometry);
-  if (segment == nullptr) {
-    return "";
-  }
   peer->segment = std::move(segment);
   peer->pid.store(0, std::memory_order_release);
   peer->incarnation.store(incarnation, std::memory_order_release);
-  peer->seen_seq_gaps = 0;
-  peer->rejoin_deadline_us.store(NowUs() + options_.rejoin_timeout_us,
-                                 std::memory_order_release);
-  // dead stays true until the new incarnation's Hello — the peer keeps
-  // being excused from acks through the whole rejoin window.
-  peer->state.store(PeerState::kRejoining, std::memory_order_release);
   return name;
 }
 
 bool TransportHub::WaitForPeerLive(HostId host, int64_t timeout_us) {
   const Peer* peer = FindPeer(host);
-  if (peer == nullptr) {
-    return false;
-  }
-  const int64_t deadline = NowUs() + timeout_us;
-  while (peer->state.load(std::memory_order_acquire) != PeerState::kLive ||
-         peer->dead.load(std::memory_order_acquire)) {
-    if (NowUs() >= deadline) {
-      return false;
-    }
-    NapUs(500);
-  }
-  return true;
+  return peer != nullptr &&
+         WaitUntil(
+             [peer] { return peer->state.load(std::memory_order_acquire) == PeerState::kLive; },
+             timeout_us, kWaitNapUs);
 }
 
 void TransportHub::RequestResync(uint64_t id, HostId host) {
@@ -484,20 +407,22 @@ void TransportHub::RequestResync(uint64_t id, HostId host) {
   }
 }
 
-void TransportHub::RequestResyncAll(Peer& peer) {
-  std::vector<uint64_t> covering;
-  {
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (const SubRecord& sub : subs_) {
-      if (std::find(sub.hosts.begin(), sub.hosts.end(), peer.host) != sub.hosts.end()) {
-        covering.push_back(sub.id);
-      }
+std::vector<TransportHub::SubRecord> TransportHub::CoveringSubs(HostId host) const {
+  std::vector<SubRecord> covering;
+  std::lock_guard<std::mutex> lock(subs_mu_);
+  for (const SubRecord& sub : subs_) {
+    if (std::find(sub.hosts.begin(), sub.hosts.end(), host) != sub.hosts.end()) {
+      covering.push_back(sub);
     }
   }
-  for (uint64_t id : covering) {
+  return covering;
+}
+
+void TransportHub::RequestResyncAll(Peer& peer) {
+  for (const SubRecord& sub : CoveringSubs(peer.host)) {
     // One request per stale episode: only newly-stale streams ask.
-    if (manager_->MarkStale(id, peer.host)) {
-      RequestResync(id, peer.host);
+    if (manager_->MarkStale(sub.id, peer.host)) {
+      RequestResync(sub.id, peer.host);
     }
   }
 }
@@ -507,15 +432,7 @@ void TransportHub::OnPeerRejoined(Peer& peer) {
   if (segment == nullptr) {
     return;
   }
-  std::vector<SubRecord> covering;
-  {
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (const SubRecord& sub : subs_) {
-      if (std::find(sub.hosts.begin(), sub.hosts.end(), peer.host) != sub.hosts.end()) {
-        covering.push_back(sub);
-      }
-    }
-  }
+  const std::vector<SubRecord> covering = CoveringSubs(peer.host);
   // Subscribe first, resync second — the cmd ring is FIFO, so the agent
   // re-registers every accumulator before any snapshot is taken, and the
   // snapshot's epoch numbering starts from the fresh accumulator.
@@ -540,34 +457,47 @@ void TransportHub::CountError(WireError err) {
   }
 }
 
-void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
+bool TransportHub::AcceptHello(Peer& peer, const ShmSegment& segment,
+                               const DecodedFrame& frame) {
+  std::lock_guard<std::mutex> lock(peers_mu_);
+  if (peer.segment.get() != &segment) {
+    return false;  // drained from a segment RestartPeer already retired
+  }
+  const PeerState state = peer.state.load(std::memory_order_acquire);
+  // A rejoin is a Hello from a peer we already knew: either we
+  // restarted its segment (kRejoining) or a new incarnation showed up on
+  // the existing one (agent restarted in place).  kGaveUp ignores every
+  // Hello until RestartPeer.
+  const bool first = state == PeerState::kConnecting;
+  const bool rejoin =
+      state == PeerState::kRejoining ||
+      (!first && state != PeerState::kGaveUp &&
+       frame.incarnation != peer.incarnation.load(std::memory_order_acquire));
+  peer.pid.store(frame.pid, std::memory_order_release);
+  if (!first && !rejoin) {
+    return false;  // a repeated Hello changes nothing
+  }
+  peer.incarnation.store(frame.incarnation, std::memory_order_release);
+  if (rejoin) {
+    // Excuse every tick the peer missed while down — it acks again from
+    // the next one.  Stored before kLive, so no wait sees a stale ack.
+    peer.last_ack.store(next_token_.load(std::memory_order_acquire),
+                        std::memory_order_release);
+  }
+  if (!Transition(peer, state, PeerState::kLive) || !rejoin) {
+    return false;
+  }
+  peers_rejoined_.fetch_add(1, std::memory_order_acq_rel);
+  return true;
+}
+
+void TransportHub::Dispatch(Peer& peer, const ShmSegment& segment, DecodedFrame&& frame) {
   switch (frame.type) {
-    case FrameType::kHello: {
-      // A rejoin is a Hello from a peer we already knew: either we
-      // restarted its segment (kRejoining) or a new incarnation showed
-      // up on the existing one (agent restarted in place).
-      const bool returning =
-          peer.hello.load(std::memory_order_acquire) &&
-          (peer.state.load(std::memory_order_acquire) == PeerState::kRejoining ||
-           frame.incarnation != peer.incarnation.load(std::memory_order_acquire));
-      peer.pid.store(frame.pid, std::memory_order_release);
-      peer.incarnation.store(frame.incarnation, std::memory_order_release);
-      peer.hello.store(true, std::memory_order_release);
-      if (returning) {
-        peer.bye.store(false, std::memory_order_release);
-        peer.dead.store(false, std::memory_order_release);
-        // Excuse every tick the peer missed while down — it acks again
-        // from the next one.
-        peer.last_ack.store(next_token_.load(std::memory_order_acquire),
-                            std::memory_order_release);
-        peer.state.store(PeerState::kLive, std::memory_order_release);
-        peers_rejoined_.fetch_add(1, std::memory_order_acq_rel);
+    case FrameType::kHello:
+      if (AcceptHello(peer, segment, frame)) {
         OnPeerRejoined(peer);
-      } else {
-        peer.state.store(PeerState::kLive, std::memory_order_release);
       }
       break;
-    }
     case FrameType::kSnapshot: {
       snapshots_.fetch_add(1, std::memory_order_acq_rel);
       TraceScope span("reactor.snapshot", TraceKeys{frame.delta.subscription_id,
@@ -598,9 +528,13 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
       }
       break;
     }
-    case FrameType::kBye:
-      peer.bye.store(true, std::memory_order_release);
+    case FrameType::kBye: {
+      const PeerState state = peer.state.load(std::memory_order_acquire);
+      if (state == PeerState::kConnecting || state == PeerState::kLive) {
+        Transition(peer, state, PeerState::kDeparted);
+      }
       break;
+    }
     default:
       // Control-plane frame types never appear on a data ring; a decoded
       // one means an agent bug, counted as a payload-level violation.
@@ -609,8 +543,11 @@ void TransportHub::Dispatch(Peer& peer, DecodedFrame&& frame) {
   }
 }
 
-size_t TransportHub::DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint8_t>& buf) {
+size_t TransportHub::DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint8_t>& buf,
+                               bool* lost_frames) {
   ShmSpscRing& ring = segment.data_ring();
+  // The reactor is the ring's only consumer, so gaps grow only here.
+  const uint64_t gaps_before = ring.seq_gaps();
   size_t dispatched = 0;
   while (ring.Pop(buf)) {
     bytes_.fetch_add(buf.size(), std::memory_order_acq_rel);
@@ -619,14 +556,16 @@ size_t TransportHub::DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint
     if (err != WireError::kOk) {
       CountError(err);
       // A frame this peer published is lost to us — its streams may
-      // have a hole; the caller triggers a resync on the new count.
-      ++peer.data_decode_errors;
+      // have a hole.
+      *lost_frames = true;
       continue;
     }
     frames_.fetch_add(1, std::memory_order_acq_rel);
-    Dispatch(peer, std::move(frame));
+    Dispatch(peer, segment, std::move(frame));
     ++dispatched;
   }
+  // A sequence jump: the producer consumed numbers we never saw.
+  *lost_frames = *lost_frames || ring.seq_gaps() > gaps_before;
   return dispatched;
 }
 
@@ -639,19 +578,14 @@ void TransportHub::ReactorLoop() {
       if (segment == nullptr) {
         continue;
       }
-      const uint64_t errors_before = peer->data_decode_errors;
+      bool lost_frames = false;
       dispatching_.store(true, std::memory_order_release);
-      dispatched += DrainPeer(*peer, *segment, buf);
-      // Loss-without-death resync triggers: a sequence jump on the data
-      // ring (producer consumed numbers we never saw) or a frame that
-      // failed decode.  Rate-limited inside RequestResyncAll — only
-      // streams newly marked stale get a request.
-      const uint64_t gaps = segment->data_ring().seq_gaps();
-      const bool lost_frames =
-          gaps > peer->seen_seq_gaps || peer->data_decode_errors > errors_before;
-      peer->seen_seq_gaps = gaps;
-      if (lost_frames &&
-          peer->state.load(std::memory_order_acquire) == PeerState::kLive) {
+      dispatched += DrainPeer(*peer, *segment, buf, &lost_frames);
+      // Loss-without-death resync trigger, judged within this drain of
+      // this segment, so no count carries across incarnations.
+      // Rate-limited inside RequestResyncAll — only streams newly marked
+      // stale get a request.
+      if (lost_frames && peer->state.load(std::memory_order_acquire) == PeerState::kLive) {
         RequestResyncAll(*peer);
       }
       // Still dispatching until a lost frame's streams are marked stale:
@@ -662,21 +596,18 @@ void TransportHub::ReactorLoop() {
       // published before dying is dispatched first, then the gap is
       // recorded — ordering the multiproc test relies on.
       const PeerState state = peer->state.load(std::memory_order_acquire);
-      if (!peer->dead.load(std::memory_order_acquire) &&
-          !peer->bye.load(std::memory_order_acquire) &&
-          (state == PeerState::kConnecting || state == PeerState::kLive)) {
+      if (state == PeerState::kConnecting || state == PeerState::kLive) {
         const uint32_t pid = peer->pid.load(std::memory_order_acquire);
-        const bool corrupt = segment->data_ring().corrupt();
-        if (corrupt || (pid != 0 && !PidAlive(pid) && segment->data_ring().empty())) {
-          peer->dead.store(true, std::memory_order_release);
-          peer->state.store(PeerState::kDead, std::memory_order_release);
+        if (segment->data_ring().corrupt() ||
+            (pid != 0 && !PidAlive(pid) && segment->data_ring().empty())) {
+          Transition(*peer, state, PeerState::kDead);
         }
       }
       // A restarted peer whose new incarnation never said Hello is
       // eventually given up on rather than watched forever.
       if (state == PeerState::kRejoining &&
-          NowUs() > peer->rejoin_deadline_us.load(std::memory_order_acquire)) {
-        peer->state.store(PeerState::kGaveUp, std::memory_order_release);
+          NowUs() > peer->rejoin_deadline_us.load(std::memory_order_acquire) &&
+          Transition(*peer, state, PeerState::kGaveUp)) {
         peers_gave_up_.fetch_add(1, std::memory_order_acq_rel);
       }
     }
@@ -684,23 +615,23 @@ void TransportHub::ReactorLoop() {
       // Idle: park briefly.  Bounded sleep rather than a multi-ring
       // futex wait — one wakeup per millisecond is noise, and no peer
       // can be starved by another's doorbell.
-      NapUs(500);
+      NapUs(kWaitNapUs);
     }
   }
   // Final sweep so frames published just before stop are not lost.
   for (Peer* peer : SnapshotPeers()) {
     auto segment = SegmentOf(*peer);
     if (segment != nullptr) {
-      DrainPeer(*peer, *segment, buf);
+      bool lost_frames = false;
+      DrainPeer(*peer, *segment, buf, &lost_frames);
     }
   }
 }
 
 // --- ShmAgentClient ---
 
-ShmAgentClient::ShmAgentClient(std::unique_ptr<ShmSegment> segment, int64_t push_timeout_us)
+ShmAgentClient::ShmAgentClient(std::unique_ptr<ShmSegment> segment)
     : segment_(std::move(segment)),
-      push_timeout_us_(push_timeout_us),
       metrics_([this](MetricsSnapshot& snap) {
         // Takes send_mu_: a snapshot waits out a push in progress.
         const FaultInjector::Counts c = fault_counts();
@@ -710,23 +641,20 @@ ShmAgentClient::ShmAgentClient(std::unique_ptr<ShmSegment> segment, int64_t push
         snap.counters["fault.injected_dup"] += c.duplicated;
       }) {}
 
-std::unique_ptr<ShmAgentClient> ShmAgentClient::Open(const std::string& name,
-                                                     int64_t push_timeout_us) {
+std::unique_ptr<ShmAgentClient> ShmAgentClient::Open(const std::string& name) {
   auto segment = ShmSegment::Open(name);
   if (segment == nullptr) {
     return nullptr;
   }
-  return std::unique_ptr<ShmAgentClient>(
-      new ShmAgentClient(std::move(segment), push_timeout_us));
+  return std::unique_ptr<ShmAgentClient>(new ShmAgentClient(std::move(segment)));
 }
 
 std::unique_ptr<ShmAgentClient> ShmAgentClient::OpenWithBackoff(const std::string& name,
-                                                                int64_t total_timeout_us,
-                                                                int64_t push_timeout_us) {
+                                                                int64_t total_timeout_us) {
   const int64_t deadline = NowUs() + total_timeout_us;
   int64_t backoff_us = 1'000;  // 1 ms, doubling to 100 ms
   for (;;) {
-    auto client = Open(name, push_timeout_us);
+    auto client = Open(name);
     if (client != nullptr) {
       return client;
     }
@@ -754,7 +682,7 @@ bool ShmAgentClient::PushRaw(const std::vector<uint8_t>& frame) {
   if (gave_up_.load(std::memory_order_acquire)) {
     return false;  // terminal: the controller is gone or wedged
   }
-  const bool ok = segment_->data_ring().Push(frame.data(), frame.size(), push_timeout_us_);
+  const bool ok = segment_->data_ring().Push(frame.data(), frame.size(), kPushTimeoutUs);
   if (!ok) {
     static Counter* gave_up = MetricsRegistry::Global().GetCounter("transport.client_gave_up");
     gave_up_.store(true, std::memory_order_release);

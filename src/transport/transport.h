@@ -1,28 +1,20 @@
 // Agent ↔ controller transport: shared-memory rings behind the existing
 // subscription and alarm intake paths.
 //
-// Two selectable backends (TransportOptions::backend):
-//
-//  * kInProcess — today's path, unchanged: agents live in the
-//    controller's process, deltas/alarms are delivered by direct
-//    function call (SubscriptionManager::Subscribe attachments, the
-//    controller's alarm sink).  The hub is a thin adapter so fixtures
-//    can drive either backend through one API.
-//  * kSharedMemory — every agent is its own process (or thread) mapping
-//    a named ShmSegment (src/transport/shm_ring.h).  The agent encodes
-//    frames (src/transport/wire.h) into its data ring; a single
-//    controller-side reactor thread drains all peer rings, decodes, and
-//    feeds the SAME consumers the in-process path uses —
-//    SubscriptionManager::SubmitDelta and Controller::MakeAlarmSink —
-//    so folding, ordering, suppression, and materialization are shared
-//    code across backends, and the determinism matrix runs unchanged
-//    over both.
+// Every agent is its own process (or thread) mapping a named ShmSegment
+// (src/transport/shm_ring.h).  The agent encodes frames
+// (src/transport/wire.h) into its data ring; a single controller-side
+// reactor thread drains all peer rings, decodes, and feeds the same
+// consumers in-process code calls directly —
+// SubscriptionManager::SubmitDelta and Controller::MakeAlarmSink — so
+// folding, ordering, suppression, and materialization are shared code.
 //
 // Reactor lock hierarchy (narrow by design):
-//   peers_mu_   — guards the peer list only; taken briefly by AddShmPeer
-//                 and by the reactor to snapshot peer pointers (peers are
-//                 never destroyed before the reactor joins, so the
-//                 snapshot outlives the lock).
+//   peers_mu_   — guards the peer list and segment swaps; taken briefly
+//                 by AddShmPeer, RestartPeer, a Hello's transition, and
+//                 the reactor to snapshot peer pointers (peers are never
+//                 destroyed before the reactor joins, so the snapshot
+//                 outlives the lock).
 //   Ring operations are lock-free; SubmitDelta and the alarm sink take
 //   their own downstream locks strictly after all transport state is
 //   released.  No lock is ever held across a blocking ring wait, so a
@@ -38,19 +30,25 @@
 // with no deadlock.  Sequence gaps (a restarted or lossy producer) are
 // counted per ring, never waited on.
 //
-// Crash RECOVERY (see docs/ARCHITECTURE.md "Crash recovery & resync"):
+// Peer lifecycle (see docs/ARCHITECTURE.md "Crash recovery & resync"),
+// one atomic PeerState per peer, every transition a compare-exchange:
 //
-//             Hello                    RestartPeer
-//   kConnecting ──▶ kLive ──(pid gone)──▶ kDead ──▶ kRejoining
-//                     ▲                                │    │
-//                     └──────── rejoin Hello ──────────┘    └─(deadline)─▶ kGaveUp
+//             Hello            pid gone / ring corrupt
+//   kConnecting ──▶ kLive ─────────────────────────────▶ kDead
+//                   │  ▲                                   │
+//               Bye │  └──── rejoin Hello ───┐             │ RestartPeer
+//                   ▼                        │             ▼
+//               kDeparted ──RestartPeer──▶ kRejoining ◀────┘
+//                                            │
+//                                            └─(deadline)─▶ kGaveUp
 //
-//  * RestartPeer(host) retires the dead peer's segment (its consumer
-//    counters fold into retired totals so stats stay cumulative) and
-//    creates a fresh one, named with the next incarnation number.
+//  * RestartPeer(host) retires a dead or departed peer's segment (its
+//    consumer counters fold into retired totals so stats stay
+//    cumulative) and creates a fresh one, named with the next
+//    incarnation number.
 //  * The restarted agent says Hello carrying its incarnation; the
 //    reactor recognizes the rejoin (kRejoining state, or an incarnation
-//    change on a live segment), revives the peer, re-sends Subscribe
+//    change on a known segment), revives the peer, re-sends Subscribe
 //    frames for every covering subscription, then ships ResyncRequest
 //    frames — the agent answers each with a full-baseline Snapshot that
 //    the SubscriptionManager folds as the stream's new baseline.
@@ -91,38 +89,31 @@ class SubscriptionManager;
 namespace transport {
 
 struct TransportOptions {
+  // Shared memory is the only transport.  The enum keeps its one value
+  // so callers that name it still compile; the hub never reads it.
   enum class Backend : uint8_t {
-    kInProcess = 0,
     kSharedMemory = 1,
   };
 
-  Backend backend = Backend::kInProcess;
+  Backend backend = Backend::kSharedMemory;
   // Shared-memory segment name prefix; "" means "/pathdump.<pid>."
   // (pid-scoped so a crashed earlier run can never collide).
   std::string shm_prefix;
-  ShmSegment::Geometry geometry;
-  // How long a blocking ring push may wait for space before failing.
-  int64_t push_timeout_us = 5'000'000;
   // How long a restarted peer may sit in kRejoining before the hub
   // declares it kGaveUp (excused from everything, counted in stats).
   int64_t rejoin_timeout_us = 10'000'000;
-  // Startup sweep: reclaim /dev/shm segments left behind by SIGKILLed
-  // earlier runs (only segments whose recorded controller pid is
-  // provably dead are touched — safe under parallel suites).
-  bool sweep_stale_shm_on_start = true;
 };
 
-// Peer lifecycle (shm backend).  kDead/kGaveUp peers are excused from
-// WaitForAcks/WaitForHellos; kRejoining is the window between
-// RestartPeer and the restarted agent's Hello.
+// Peer lifecycle.  Every state but kConnecting and kLive is excused
+// from WaitForAcks and skipped by broadcasts.
 enum class PeerState : uint8_t {
   kConnecting = 0,  // segment created, no Hello yet
   kLive = 1,
   kDead = 2,      // pid gone (or ring poisoned) without a Bye
   kRejoining = 3, // fresh segment up, waiting for the new incarnation's Hello
-  kGaveUp = 4,    // rejoin deadline passed; terminal
+  kGaveUp = 4,    // rejoin deadline passed; only RestartPeer leaves it
+  kDeparted = 5,  // said Bye
 };
-const char* PeerStateName(PeerState s);
 
 // Cumulative since hub construction.  Decode error counters map 1:1 to
 // WireError categories — every rejected frame is counted, never dropped
@@ -145,9 +136,9 @@ struct TransportStats {
                                 // (retired segments included)
   uint64_t blocked_pushes = 0;  // agent-side full-ring waits, summed
   uint64_t peers = 0;
-  uint64_t peers_hello = 0;  // peers that completed the Hello handshake
-  uint64_t peers_bye = 0;    // graceful goodbyes
-  uint64_t peers_dead = 0;   // dead right now (no Bye); a rejoin clears it
+  uint64_t peers_hello = 0;  // peers past kConnecting (said Hello or found dead)
+  uint64_t peers_bye = 0;    // in kDeparted right now (graceful goodbyes)
+  uint64_t peers_dead = 0;   // in kDead or kGaveUp right now; a rejoin clears it
   // Crash recovery.
   uint64_t peers_rejoining = 0;      // currently in kRejoining (gauge)
   uint64_t peers_rejoined = 0;       // completed rejoin handshakes, cumulative
@@ -157,8 +148,8 @@ struct TransportStats {
   uint64_t stale_shm_reclaimed = 0;  // startup-sweep unlinks
 };
 
-// Controller-side hub.  One instance owns all peer segments and (for the
-// shm backend) the reactor thread.
+// Controller-side hub.  One instance owns all peer segments and the
+// reactor thread.
 class TransportHub {
  public:
   TransportHub(Controller* controller, SubscriptionManager* manager,
@@ -169,49 +160,38 @@ class TransportHub {
   TransportHub(const TransportHub&) = delete;
   TransportHub& operator=(const TransportHub&) = delete;
 
-  TransportOptions::Backend backend() const { return options_.backend; }
-
   // --- Peer management ---
 
-  // Shared-memory backend: creates the segment for `host` and returns
-  // its shm name (pass to the agent process / ShmAgentClient::Open).
-  // Empty string on failure or on the in-process backend.
+  // Creates the segment for `host` and returns its shm name (pass to the
+  // agent process / ShmAgentClient::Open).  Empty string on failure.
   std::string AddShmPeer(HostId host);
-  // In-process backend: registers a live agent with the controller and
-  // tracks its host so Subscribe()/hosts() work identically.
-  void AddLocalAgent(EdgeAgent* agent);
 
-  // Hosts added so far, in add order (both backends).
-  std::vector<HostId> hosts() const;
+  // --- Control plane ---
 
-  // --- Control plane (backend-dispatched) ---
-
-  // Installs the standing query on every listed host.  In-process:
-  // SubscriptionManager::Subscribe.  Shm: SubscribeRemote + a Subscribe
-  // frame broadcast on each peer's command ring.
+  // Installs the standing query on every listed host:
+  // SubscriptionManager::SubscribeRemote plus a Subscribe frame broadcast
+  // on each peer's command ring.
   uint64_t Subscribe(const std::vector<HostId>& hosts, const StandingQuerySpec& spec);
 
-  // Epoch boundary.  In-process: ticks synchronously (TickEpoch) and the
-  // returned token is already satisfied.  Shm: broadcasts an EpochTick
-  // frame; agents tick and ack with the token — pair with WaitForAcks
-  // before asserting on materialized state.
+  // Epoch boundary: broadcasts an EpochTick frame; agents tick and ack
+  // with the returned token — pair with WaitForAcks before asserting on
+  // materialized state.
   uint64_t SendEpochTick();
 
-  // Test/bench harness: ask every shm agent to run IngestSynthetic
-  // (src/workload/synthetic_records.h) with these arguments.  A no-op
-  // in-process: there the caller inserts into its agents directly.
+  // Test/bench harness: ask every agent to run IngestSynthetic
+  // (src/workload/synthetic_records.h) with these arguments.
   void SendIngest(uint32_t count, uint32_t seed, uint32_t ip_space, uint32_t switch_space);
 
-  // Asks every live shm peer to drain and exit (no-op in-process).
+  // Asks every live peer to drain and exit.
   void SendShutdown();
 
   // --- Synchronization ---
 
-  // True once every shm peer has said Hello (trivially true in-process).
+  // True once every peer is past kConnecting (said Hello, or found dead).
   bool WaitForHellos(int64_t timeout_us);
-  // True once every peer has acked `token`, where dead and departed
-  // peers are excused — a SIGKILLed agent never wedges the epoch.
-  // False only on timeout with a live, silent peer.
+  // True once every peer has acked `token`, where excused peers (every
+  // state but kConnecting and kLive) are skipped — a SIGKILLed agent
+  // never wedges the epoch.  False only on timeout with a silent peer.
   bool WaitForAcks(uint64_t token, int64_t timeout_us);
   // Blocks until every published frame has been drained and dispatched,
   // then flushes the subscription channel — after this, Materialize
@@ -219,17 +199,18 @@ class TransportHub {
   void Flush();
 
   TransportStats stats() const;
-  // Hosts detected dead (no Bye), in detection order.
+  // Hosts in kDead or kGaveUp right now, in add order.
   std::vector<HostId> dead_hosts() const;
   PeerState peer_state(HostId host) const;
 
   // --- Crash recovery ---
 
-  // Retires a dead (or departed) peer's segment and creates a fresh one
-  // under the next incarnation number.  Returns the new segment name to
-  // hand the restarted agent (which must Hello with that incarnation),
-  // or "" if the peer is unknown or still live.  The peer enters
-  // kRejoining until the Hello lands (kGaveUp past the rejoin timeout).
+  // Retires a dead, departed, given-up or never-connected peer's segment
+  // and creates a fresh one under the next incarnation number.  Returns
+  // the new segment name to hand the restarted agent (which must Hello
+  // with that incarnation), or "" if the peer is unknown, live or
+  // already rejoining.  The peer enters kRejoining until the Hello lands
+  // (kGaveUp past the rejoin timeout).
   std::string RestartPeer(HostId host);
   // The incarnation RestartPeer assigned most recently (0 = original).
   uint32_t peer_incarnation(HostId host) const;
@@ -250,22 +231,31 @@ class TransportHub {
     std::atomic<uint32_t> pid{0};         // learned from Hello
     std::atomic<uint32_t> incarnation{0}; // learned from Hello / RestartPeer
     std::atomic<uint64_t> last_ack{0};    // highest token acked
-    std::atomic<bool> hello{false};
-    std::atomic<bool> bye{false};
-    std::atomic<bool> dead{false};
+    // Written only by compare-exchange (Transition): the reactor and
+    // RestartPeer's API thread never overwrite each other's move.
     std::atomic<PeerState> state{PeerState::kConnecting};
     std::atomic<int64_t> rejoin_deadline_us{0};
-    // Reactor-local resync trigger edge detectors (reactor thread only).
-    uint64_t seen_seq_gaps = 0;
-    uint64_t data_decode_errors = 0;  // reactor-written cumulative
   };
 
+  // Moves `peer` from `from` to `to`; false, with no change, if another
+  // thread moved it first.
+  static bool Transition(Peer& peer, PeerState from, PeerState to) {
+    return peer.state.compare_exchange_strong(from, to, std::memory_order_acq_rel);
+  }
+  // The one wait loop: checks `done` first, then the deadline, then naps
+  // `nap_us`.  A negative `timeout_us` waits forever.
+  static bool WaitUntil(const std::function<bool()>& done, int64_t timeout_us, int64_t nap_us);
+
   void ReactorLoop();
-  // Drains one peer's data ring; returns frames dispatched.  Decode
-  // errors on the ring are counted into peer.data_decode_errors so the
-  // caller can trigger a resync on new corruption.
-  size_t DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint8_t>& buf);
-  void Dispatch(Peer& peer, DecodedFrame&& frame);
+  // Drains one peer's data ring; returns frames dispatched and sets
+  // `*lost_frames` if this drain met a sequence gap or a frame that
+  // failed decode, so the caller can trigger a resync.
+  size_t DrainPeer(Peer& peer, ShmSegment& segment, std::vector<uint8_t>& buf,
+                   bool* lost_frames);
+  void Dispatch(Peer& peer, const ShmSegment& segment, DecodedFrame&& frame);
+  // A Hello on `segment`: first contact, a rejoin, or stale.  Returns
+  // true for a rejoin (the caller then replays the peer's state).
+  bool AcceptHello(Peer& peer, const ShmSegment& segment, const DecodedFrame& frame);
   void CountError(WireError err);
   // Snapshot of peer pointers (stable: peers_ is an append-only deque).
   std::vector<Peer*> SnapshotPeers() const;
@@ -285,15 +275,6 @@ class TransportHub {
   void RequestResyncAll(Peer& peer);
   const Peer* FindPeer(HostId host) const;
 
-  Controller* const controller_;
-  SubscriptionManager* const manager_;
-  const TransportOptions options_;
-  const std::string prefix_;
-  AlarmHandler alarm_sink_;
-
-  mutable std::mutex peers_mu_;  // guards peers_ growth + segment swaps
-  std::deque<Peer> peers_;       // append-only; stable addresses
-
   // Subscriptions installed through Subscribe(), kept so a rejoining
   // peer can be re-subscribed and resynced.
   struct SubRecord {
@@ -301,8 +282,19 @@ class TransportHub {
     StandingQuerySpec spec;
     std::vector<HostId> hosts;
   };
+  // The records whose host list names `host`, copied under subs_mu_.
+  std::vector<SubRecord> CoveringSubs(HostId host) const;
+
+  SubscriptionManager* const manager_;
+  const TransportOptions options_;
+  const std::string prefix_;
+  AlarmHandler alarm_sink_;
+
+  mutable std::mutex peers_mu_;  // guards peers_ growth, segment swaps, Hellos
+  std::deque<Peer> peers_;       // append-only; stable addresses
+
   mutable std::mutex subs_mu_;
-  std::vector<SubRecord> subs_;
+  std::vector<SubRecord> subs_;  // guarded by subs_mu_
 
   std::mutex cmd_mu_;  // serializes all command-ring pushes
 
@@ -334,14 +326,12 @@ class TransportHub {
 class ShmAgentClient {
  public:
   // Maps the named segment; null if absent or malformed.
-  static std::unique_ptr<ShmAgentClient> Open(const std::string& name,
-                                              int64_t push_timeout_us = 5'000'000);
+  static std::unique_ptr<ShmAgentClient> Open(const std::string& name);
   // Bounded connect: retries Open with exponential backoff (1 ms
   // doubling to 100 ms) until `total_timeout_us` elapses.  Restarted
   // agents use this — the hub may still be creating their segment.
   static std::unique_ptr<ShmAgentClient> OpenWithBackoff(const std::string& name,
-                                                         int64_t total_timeout_us,
-                                                         int64_t push_timeout_us = 5'000'000);
+                                                         int64_t total_timeout_us);
 
   // Installs a data-plane fault injector (chaos/testing): QueryDelta and
   // Alarm frames may be dropped, corrupted, delayed (reordered), or
@@ -395,7 +385,7 @@ class ShmAgentClient {
   ShmSegment& segment() { return *segment_; }
 
  private:
-  explicit ShmAgentClient(std::unique_ptr<ShmSegment> segment, int64_t push_timeout_us);
+  explicit ShmAgentClient(std::unique_ptr<ShmSegment> segment);
 
   // All Push* helpers run under send_mu_ with the frame in scratch_.
   bool PushFrame();          // verbatim; flushes a delayed frame first
@@ -404,7 +394,6 @@ class ShmAgentClient {
   void ReleaseDelayedLocked();
 
   std::unique_ptr<ShmSegment> segment_;
-  const int64_t push_timeout_us_;
   mutable std::mutex send_mu_;
   std::vector<uint8_t> scratch_;  // guarded by send_mu_
   std::unique_ptr<FaultInjector> injector_;  // guarded by send_mu_

@@ -3,13 +3,10 @@
 // A fleet is N standing-query agents plus N in-test "twins": EdgeAgents
 // registered with the controller that ingest the same records, so a
 // fresh poll over the twins is the reference every standing result is
-// compared against.  Where the standing agents live is set up once here:
-//
-//   * Backend::kInProcess — the twins are the agents (AddLocalAgent);
-//   * Backend::kSharedMemory — every agent sits behind its own segment
-//     and runs ShmAgentClient::Serve, either on a thread of this process
-//     (ShmAgentThread) or, given an agent_worker binary, as a forked
-//     process (ForkWorker).
+// compared against.  Every agent sits behind its own segment and runs
+// ShmAgentClient::Serve, either on a thread of this process
+// (ShmAgentThread) or, given an agent_worker binary, as a forked process
+// (ForkWorker).
 //
 // Both sides derive their records through IngestSynthetic's (seed + host)
 // convention, so byte identity across the ring needs no records shipped
@@ -49,8 +46,6 @@
 namespace pathdump {
 namespace testutil {
 
-using Backend = transport::TransportOptions::Backend;
-
 inline constexpr SyntheticRecordOptions kFleetRecords{.ip_space = 2048, .switch_space = 24};
 inline constexpr size_t kFleetShards = 4;
 
@@ -65,23 +60,26 @@ class ShmCleanupEnvironment : public ::testing::Environment {
 inline const auto* const kShmCleanupEnv =
     ::testing::AddGlobalTestEnvironment(new ShmCleanupEnvironment());
 
-inline transport::TransportOptions FleetTransportOptions(Backend backend) {
+inline transport::TransportOptions FleetTransportOptions(
+    int64_t rejoin_timeout_us = transport::TransportOptions{}.rejoin_timeout_us) {
   transport::TransportOptions o;
-  o.backend = backend;
   o.shm_prefix = FleetShmPrefix();
+  o.rejoin_timeout_us = rejoin_timeout_us;
   return o;
 }
 
 // A thread standing in for an agent_worker process: the same client,
 // rings, frames and Serve loop.  `fault` (if any()) installs a seeded
-// data-plane fault injector with the per-host seed offset.  The
+// data-plane fault injector with the per-host seed offset; the Hello
+// carries `incarnation` (nonzero for a RestartPeer segment).  The
 // destructor stops and joins the thread whether or not a Shutdown frame
 // was ever sent.
 class ShmAgentThread {
  public:
   ShmAgentThread(std::string name, HostId host, size_t shards, const Topology* topo,
-                 const CherryPickCodec* codec, transport::FaultInjectorConfig fault = {})
-      : thread_([this, name = std::move(name), host, shards, topo, codec, fault] {
+                 const CherryPickCodec* codec, transport::FaultInjectorConfig fault = {},
+                 uint32_t incarnation = 0)
+      : thread_([this, name = std::move(name), host, shards, topo, codec, fault, incarnation] {
           auto client = transport::ShmAgentClient::Open(name);
           if (client == nullptr) {
             ADD_FAILURE() << "cannot map " << name;
@@ -95,7 +93,7 @@ class ShmAgentThread {
           EdgeAgentConfig cfg;
           cfg.tib_options.num_shards = shards;
           EdgeAgent agent(host, topo, codec, cfg);
-          client->SendHello(host);
+          client->SendHello(host, incarnation);
           client->Serve(agent, host, [this] { return !stop_.load(std::memory_order_acquire); });
         }) {}
   ~ShmAgentThread() {
@@ -144,7 +142,6 @@ inline int ReapWithDeadline(pid_t pid, int64_t timeout_us) {
 }
 
 struct FleetSetup {
-  Backend backend = Backend::kSharedMemory;
   size_t num_agents = 3;
   size_t shards = kFleetShards;
   // agent_worker binary to fork per agent; null serves each shm agent on
@@ -155,6 +152,8 @@ struct FleetSetup {
   transport::FaultInjectorConfig fault{};
   // TIB ceiling of the twins; forked workers read PATHDUMP_TIB_MAX_BYTES.
   size_t twin_tib_max_bytes = 0;
+  // How long a restarted peer may take to Hello before the hub gives up.
+  int64_t rejoin_timeout_us = transport::TransportOptions{}.rejoin_timeout_us;
 };
 
 struct ShmFleet {
@@ -165,8 +164,8 @@ struct ShmFleet {
   Controller controller;
   // Destruction order is load-bearing: agents exit first (the destructor
   // body sends Shutdown, joins threads and reaps workers), then the hub
-  // joins its reactor, then the manager detaches its in-process
-  // accumulators while the twins are still alive, then the twins die.
+  // joins its reactor (it flushes the manager on the way), then the
+  // manager, then the twins.
   std::vector<std::unique_ptr<EdgeAgent>> twins;
   SubscriptionManager manager;
   transport::TransportHub hub;
@@ -180,15 +179,11 @@ struct ShmFleet {
         labels(&topo),
         codec(&topo, &labels),
         manager(&controller, s.manager),
-        hub(&controller, &manager, FleetTransportOptions(s.backend)) {
+        hub(&controller, &manager, FleetTransportOptions(s.rejoin_timeout_us)) {
     for (size_t a = 0; a < s.num_agents; ++a) {
       const HostId h = topo.hosts()[a];
       hosts.push_back(h);
       twins.push_back(MakeTwin(h));
-      if (s.backend == Backend::kInProcess) {
-        hub.AddLocalAgent(twins.back().get());
-        continue;
-      }
       controller.RegisterAgent(twins.back().get());
       const std::string name = hub.AddShmPeer(h);
       EXPECT_FALSE(name.empty());
@@ -232,7 +227,7 @@ struct ShmFleet {
   }
 
   // One epoch's records: the twins listed in `into` (all when empty)
-  // ingest directly; shm agents get the broadcast Ingest frame.
+  // ingest directly; the agents get the broadcast Ingest frame.
   void Ingest(uint32_t count, uint32_t seed, const std::vector<size_t>& into = {}) {
     for (size_t a = 0; a < twins.size(); ++a) {
       if (into.empty() || std::find(into.begin(), into.end(), a) != into.end()) {
@@ -243,18 +238,15 @@ struct ShmFleet {
   }
 
   // Epoch boundary, synchronized: tick, wait for every agent's ack,
-  // drain the rings, flush the fold.  Shm twins seal in lockstep with
-  // their agents (each agent's ring is FIFO, so its Ingest precedes its
+  // drain the rings, flush the fold.  Twins seal in lockstep with their
+  // agents (each agent's ring is FIFO, so its Ingest precedes its
   // EpochTick exactly as the twin's inserts preceded this), so under a
-  // memory ceiling both sides retire the same epochs.  In-process, the
-  // hub's tick already reaches the twins.
+  // memory ceiling both sides retire the same epochs.
   void Epoch() {
     const uint64_t token = hub.SendEpochTick();
     ASSERT_TRUE(hub.WaitForAcks(token, 60'000'000));
-    if (setup.backend == Backend::kSharedMemory) {
-      for (auto& twin : twins) {
-        twin->EpochTick();
-      }
+    for (auto& twin : twins) {
+      twin->EpochTick();
     }
     hub.Flush();
   }
@@ -277,6 +269,33 @@ struct ShmFleet {
       if (std::chrono::steady_clock::now() >= deadline) {
         return false;
       }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  // The reactor moves peers asynchronously: true once `h` is in `want`,
+  // polled for up to 30 s.
+  bool AwaitPeerState(HostId h, transport::PeerState want) {
+    for (int64_t waited = 0; waited < 30'000'000; waited += 1000) {
+      if (hub.peer_state(h) == want) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  // WaitForPeerLive can return before the rejoin's resync requests are
+  // even marked (the reactor flips the state first) — gate on the
+  // end-to-end signal: every restart so far produced a full set of
+  // snapshot folds.
+  void AwaitSnapshotFolds(uint64_t expected_min) {
+    for (int64_t waited = 0; manager.stats().snapshot_folds < expected_min;
+         waited += 1000) {
+      hub.Flush();
+      ASSERT_LT(waited, 30'000'000)
+          << "only " << manager.stats().snapshot_folds << " snapshot folds, want >= "
+          << expected_min;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }

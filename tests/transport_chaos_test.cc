@@ -107,10 +107,8 @@ struct ChaosTestbed : ShmFleet {
       pids[v] = -1;
     }
     // The reactor detects the dead pid on its next liveness pass.
-    for (int64_t waited = 0; hub.peer_state(h) != PeerState::kDead; waited += 1000) {
-      ASSERT_LT(waited, 30'000'000) << "hub never detected the death of host " << h;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    ASSERT_TRUE(AwaitPeerState(h, PeerState::kDead))
+        << "hub never detected the death of host " << h;
     // Fresh twin: the poll reference must model the restarted (empty)
     // agent, or identity post-recovery would be unachievable.
     twins[v] = MakeTwin(h);
@@ -120,21 +118,6 @@ struct ChaosTestbed : ShmFleet {
     pids[v] = testutil::ForkWorker(setup.worker, name, h, setup.shards, hub.peer_incarnation(h));
     ASSERT_GT(pids[v], 0);
     ASSERT_TRUE(hub.WaitForPeerLive(h, 30'000'000)) << "host " << h << " never rejoined";
-  }
-
-  // WaitForPeerLive can return before the rejoin's resync requests are
-  // even marked (the reactor flips the state first) — gate on the
-  // end-to-end signal: every kill so far produced a full set of
-  // snapshot folds.
-  void AwaitSnapshotFolds(uint64_t expected_min) {
-    for (int64_t waited = 0; manager.stats().snapshot_folds < expected_min;
-         waited += 1000) {
-      hub.Flush();
-      ASSERT_LT(waited, 30'000'000)
-          << "only " << manager.stats().snapshot_folds << " snapshot folds, want >= "
-          << expected_min;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
   }
 };
 

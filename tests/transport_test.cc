@@ -8,17 +8,20 @@
 //     acquire/release protocol).
 //  3. Segment lifecycle — create/open/unlink, plus the test-teardown
 //     sweep that keeps /dev/shm clean.
-//  4. Backend-parametrized determinism — the standing-query poll-identity
-//     matrix (all four kinds, {1,4,16} shards x {1,4,16} workers) run
-//     over BOTH TransportOptions backends: the in-process path unchanged,
-//     and the shared-memory path with every agent behind a real ring
-//     (threaded here; tests/transport_multiproc_test.cc forks processes).
+//  4. Determinism — the standing-query poll-identity matrix (all four
+//     kinds, {1,4,16} shards x {1,4,16} workers) with every agent behind
+//     a real ring (threaded here; tests/transport_multiproc_test.cc
+//     forks processes).
 //  5. Reactor resilience — malformed frames on a live ring are counted
 //     by category and the stream recovers; sequence gaps surface in
 //     TransportStats.
-//  6. The agent loop (ShmAgentClient::Serve) — a garbage command frame
+//  6. Seeded fault matrix — every injected fault kind lands in its
+//     counter and is never folded.
+//  7. The agent loop (ShmAgentClient::Serve) — a garbage command frame
 //     is counted and skipped, and a thread-served agent stops on its
 //     owner's flag without a Shutdown frame.
+//  8. Peer lifecycle — thread agents walk every PeerState transition,
+//     so the recovery state machine runs under TSan.
 
 #include <gtest/gtest.h>
 
@@ -45,9 +48,10 @@
 namespace pathdump {
 namespace {
 
-using testutil::Backend;
 using testutil::FleetShmPrefix;
+using testutil::ShmAgentThread;
 using testutil::ShmFleet;
+using transport::PeerState;
 using transport::ShmAgentClient;
 using transport::ShmSegment;
 using transport::ShmSpscRing;
@@ -252,7 +256,7 @@ TEST(ShmSegmentTest, CleanupSweepRemovesLeftoverNames) {
   creator->Unlink();  // idempotent after the sweep
 }
 
-// --- 4. Backend-parametrized standing-query determinism matrix ---
+// --- 4. Standing-query determinism matrix ---
 
 constexpr size_t kTopK = 500;
 constexpr int64_t kBinWidth = 10000;
@@ -261,22 +265,13 @@ const LinkId kProbeLink{3, 7};
 const std::vector<StandingQuerySpec> kSpecs =
     testutil::FourKindSpecs(kTopK, kProbeLink, kBinWidth);
 
-class TransportBackendTest : public ::testing::TestWithParam<Backend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, TransportBackendTest,
-                         ::testing::Values(Backend::kInProcess, Backend::kSharedMemory),
-                         [](const ::testing::TestParamInfo<Backend>& info) {
-                           return info.param == Backend::kInProcess ? "InProcess"
-                                                                    : "SharedMemory";
-                         });
-
-TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
+TEST(TransportDeterminism, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
   const int kPerEpoch = 1200;
   const int kEpochs = 3;
   const size_t kAgents = 3;
 
   for (size_t shards : {size_t(1), size_t(4), size_t(16)}) {
-    ShmFleet tb({.backend = GetParam(), .num_agents = kAgents, .shards = shards});
+    ShmFleet tb({.num_agents = kAgents, .shards = shards});
     const std::vector<uint64_t> subs = tb.SubscribeAll(kSpecs);
     const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
 
@@ -296,11 +291,8 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
           twin->SetQueryThreadPool(workers > 1 ? &scan_pool : nullptr);
         }
         tb.ExpectPollIdentity(kSpecs, subs,
-                              std::string("backend ") +
-                                  (GetParam() == Backend::kInProcess ? "inproc" : "shm") +
-                                  ", " + std::to_string(shards) + " shards, " +
-                                  std::to_string(workers) + " workers, epoch " +
-                                  std::to_string(epoch));
+                              std::to_string(shards) + " shards, " + std::to_string(workers) +
+                                  " workers, epoch " + std::to_string(epoch));
         for (auto& twin : tb.twins) {
           twin->SetQueryThreadPool(nullptr);
         }
@@ -308,11 +300,11 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
       tb.controller.SetWorkerThreads(1);
     }
 
-    // Registry accounting holds on both backends (shm agents are threads
-    // of this process, so both sides of the ring land in one registry):
-    // every delta the agents produced was folded — none orphaned, none
-    // lost in transit.  Diffed, not absolute: other tests in this binary
-    // share the process-wide registry.
+    // Registry accounting (the agents are threads of this process, so
+    // both sides of the ring land in one registry): every delta the
+    // agents produced was folded — none orphaned, none lost in transit.
+    // Diffed, not absolute: other tests in this binary share the
+    // process-wide registry.
     {
       const MetricsSnapshot md = MetricsRegistry::Global().Snapshot().Diff(metrics_before);
       auto counter = [&md](const char* name) {
@@ -323,30 +315,26 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
       EXPECT_GT(produced, 0u);
       EXPECT_EQ(produced, counter("sub.deltas_folded") + counter("sub.deltas_orphaned"));
       EXPECT_EQ(counter("sub.deltas_orphaned"), 0u);
-      if (GetParam() == Backend::kSharedMemory) {
-        // Every produced delta was wire-encoded, pushed onto a ring, and
-        // popped by the reactor exactly once.
-        EXPECT_EQ(counter("wire.frames_encoded"), produced);
-        EXPECT_EQ(counter("ring.delta_pushes"), produced);
-        EXPECT_EQ(counter("transport.deltas"), produced);
-        EXPECT_EQ(counter("transport.decode_errors"), 0u);
-      }
+      // Every produced delta was wire-encoded, pushed onto a ring, and
+      // popped by the reactor exactly once.
+      EXPECT_EQ(counter("wire.frames_encoded"), produced);
+      EXPECT_EQ(counter("ring.delta_pushes"), produced);
+      EXPECT_EQ(counter("transport.deltas"), produced);
+      EXPECT_EQ(counter("transport.decode_errors"), 0u);
     }
 
-    if (GetParam() == Backend::kSharedMemory) {
-      // Transport accounting: every frame decoded, nothing corrupted.
-      TransportStats st = tb.hub.stats();
-      EXPECT_EQ(st.peers, kAgents);
-      EXPECT_EQ(st.peers_hello, kAgents);
-      EXPECT_EQ(st.peers_dead, 0u);
-      EXPECT_EQ(st.decode_errors, 0u);
-      EXPECT_EQ(st.seq_gaps, 0u);
-      EXPECT_GT(st.deltas, 0u);
-      EXPECT_EQ(st.acks, uint64_t(kEpochs) * kAgents);
-      // Folded deltas arrived via the rings, not via any in-process
-      // attachment.
-      EXPECT_GE(tb.manager.stats().deltas_folded, uint64_t(kEpochs));
-    }
+    // Transport accounting: every frame decoded, nothing corrupted.
+    TransportStats st = tb.hub.stats();
+    EXPECT_EQ(st.peers, kAgents);
+    EXPECT_EQ(st.peers_hello, kAgents);
+    EXPECT_EQ(st.peers_dead, 0u);
+    EXPECT_EQ(st.decode_errors, 0u);
+    EXPECT_EQ(st.seq_gaps, 0u);
+    EXPECT_GT(st.deltas, 0u);
+    EXPECT_EQ(st.acks, uint64_t(kEpochs) * kAgents);
+    // Folded deltas arrived via the rings, not via any in-process
+    // attachment.
+    EXPECT_GE(tb.manager.stats().deltas_folded, uint64_t(kEpochs));
   }
 }
 
@@ -355,7 +343,7 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
 TEST(TransportHubErrors, MalformedFramesAreCountedAndStreamRecovers) {
   Controller controller;
   SubscriptionManager manager(&controller);
-  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions(Backend::kSharedMemory));
+  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions());
   const HostId kHost = 42;
   const std::string name = hub.AddShmPeer(kHost);
   ASSERT_FALSE(name.empty());
@@ -511,7 +499,7 @@ TEST(TransportFaultMatrix, EveryFaultKindIsCountedAndNeverFolded) {
 TEST(TransportHubErrors, SequenceGapsSurfaceInStats) {
   Controller controller;
   SubscriptionManager manager(&controller);
-  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions(Backend::kSharedMemory));
+  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions());
   const HostId kHost = 7;
   const std::string name = hub.AddShmPeer(kHost);
   ASSERT_FALSE(name.empty());
@@ -528,7 +516,7 @@ TEST(TransportHubErrors, SequenceGapsSurfaceInStats) {
   EXPECT_EQ(st.decode_errors, 0u);
 }
 
-// --- 6. The agent loop ---
+// --- 7. The agent loop ---
 
 TEST(ShmAgentServe, GarbageCommandIsCountedAndNextTickAcked) {
   Topology topo = BuildFatTree(4);
@@ -536,7 +524,7 @@ TEST(ShmAgentServe, GarbageCommandIsCountedAndNextTickAcked) {
   CherryPickCodec codec(&topo, &labels);
   Controller controller;
   SubscriptionManager manager(&controller);
-  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions(Backend::kSharedMemory));
+  TransportHub hub(&controller, &manager, testutil::FleetTransportOptions());
   const HostId kHost = topo.hosts()[0];
   const std::string name = hub.AddShmPeer(kHost);
   ASSERT_FALSE(name.empty());
@@ -580,6 +568,135 @@ TEST(ShmAgentServe, ThreadAgentStopsWithoutShutdown) {
   tb.threads.clear();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
   EXPECT_EQ(tb.hub.stats().peers_bye, 0u);
+}
+
+// --- 8. Peer lifecycle ---
+
+// Asks one agent to say Bye and return from Serve.  A second mapping
+// stands in for the hub's producer side of the command ring; the hub
+// pushes nothing concurrently between epochs.
+void ShutdownOne(const std::string& shm_name) {
+  auto producer = ShmSegment::Open(shm_name);
+  ASSERT_NE(producer, nullptr);
+  std::vector<uint8_t> frame;
+  transport::EncodeShutdownFrame(frame);
+  ASSERT_TRUE(producer->cmd_ring().Push(frame.data(), frame.size(), 1'000'000));
+}
+
+// Consumes `n` sequence numbers on a peer's data ring without publishing,
+// as upstream loss would.  The agent pushes nothing between epochs.
+void SkipSeq(const std::string& shm_name, uint64_t n) {
+  auto segment = ShmSegment::Open(shm_name);
+  ASSERT_NE(segment, nullptr);
+  ShmSpscRing& ring = segment->data_ring();
+  ring.set_next_seq(ring.next_seq() + n);
+}
+
+TEST(TransportPeerLifecycle, ThreadAgentsWalkEveryTransition) {
+  // kConnecting -> kLive.
+  {
+    Controller controller;
+    SubscriptionManager manager(&controller);
+    TransportHub hub(&controller, &manager, testutil::FleetTransportOptions());
+    const HostId kHost = 42;
+    const std::string name = hub.AddShmPeer(kHost);
+    ASSERT_FALSE(name.empty());
+    EXPECT_EQ(hub.peer_state(kHost), PeerState::kConnecting);
+    EXPECT_FALSE(hub.WaitForHellos(0));
+    auto client = ShmAgentClient::Open(name);
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->SendHello(kHost));
+    ASSERT_TRUE(hub.WaitForHellos(10'000'000));
+    EXPECT_EQ(hub.peer_state(kHost), PeerState::kLive);
+    EXPECT_EQ(hub.stats().peers_hello, 1u);
+  }
+
+  // A short rejoin window, so kGaveUp is reached in bounded time.
+  ShmFleet tb({.num_agents = 2, .rejoin_timeout_us = 2'000'000});
+  const HostId h0 = tb.hosts[0];
+  const HostId h1 = tb.hosts[1];
+  const std::vector<uint64_t> subs = tb.SubscribeAll(kSpecs);
+  uint32_t seed = 0x11FE;
+  tb.Ingest(800, ++seed);
+  tb.Epoch();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  tb.ExpectPollIdentity(kSpecs, subs, "before any transition");
+  // A gap on the first incarnation's ring resyncs host 0's streams.
+  SkipSeq(FleetShmPrefix() + std::to_string(h0), 3);
+  tb.Epoch();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_TRUE(tb.Quiesce(subs, 20'000'000));
+  EXPECT_EQ(tb.hub.stats().resync_requests, subs.size());
+
+  // kLive -> kDeparted on a Bye; a departed peer is excused from acks.
+  EXPECT_EQ(tb.hub.RestartPeer(h0), "") << "a live peer must not be restarted";
+  ShutdownOne(FleetShmPrefix() + std::to_string(h0));
+  ASSERT_TRUE(tb.AwaitPeerState(h0, PeerState::kDeparted));
+  EXPECT_EQ(tb.hub.stats().peers_bye, 1u);
+  tb.Ingest(800, ++seed, {1});
+  tb.Epoch();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  tb.ExpectPollIdentity(kSpecs, subs, "host 0 departed");
+
+  // kDeparted -> kRejoining -> kLive at incarnation 1: a fresh agent
+  // (and twin — the records left with the old one) is re-subscribed
+  // and snapshot-resynced.
+  const uint64_t snapshots_before = tb.manager.stats().snapshot_folds;
+  const std::string name0 = tb.hub.RestartPeer(h0);
+  ASSERT_FALSE(name0.empty());
+  EXPECT_EQ(tb.hub.peer_state(h0), PeerState::kRejoining);
+  EXPECT_EQ(tb.hub.peer_incarnation(h0), 1u);
+  EXPECT_EQ(tb.hub.stats().peers_rejoining, 1u);
+  EXPECT_EQ(tb.hub.RestartPeer(h0), "") << "a rejoining peer must not be restarted";
+  tb.twins[0] = tb.MakeTwin(h0);
+  tb.controller.RegisterAgent(tb.twins[0].get());
+  tb.threads[0] = std::make_unique<ShmAgentThread>(name0, h0, tb.setup.shards, &tb.topo,
+                                                   &tb.codec, transport::FaultInjectorConfig{},
+                                                   /*incarnation=*/1);
+  ASSERT_TRUE(tb.hub.WaitForPeerLive(h0, 30'000'000));
+  EXPECT_EQ(tb.hub.peer_incarnation(h0), 1u);
+  tb.AwaitSnapshotFolds(snapshots_before + subs.size());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_TRUE(tb.Quiesce(subs, 20'000'000));
+  tb.Ingest(800, ++seed);
+  tb.Epoch();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_TRUE(tb.Quiesce(subs, 20'000'000));
+  tb.ExpectPollIdentity(kSpecs, subs, "host 0 rejoined");
+  {
+    const TransportStats st = tb.hub.stats();
+    EXPECT_EQ(st.peers_rejoined, 1u);
+    EXPECT_EQ(st.peers_rejoining, 0u);
+    EXPECT_EQ(st.peers_bye, 0u);
+    EXPECT_EQ(st.resync_requests, 2 * subs.size());
+  }
+  // The new incarnation's first gap (1, below the old ring's 3) still
+  // resyncs: no gap count carries over from the retired segment.
+  SkipSeq(name0, 1);
+  tb.Epoch();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_TRUE(tb.Quiesce(subs, 20'000'000));
+  tb.ExpectPollIdentity(kSpecs, subs, "host 0 resynced after a gap");
+  EXPECT_EQ(tb.hub.stats().resync_requests, 3 * subs.size());
+  EXPECT_EQ(tb.hub.stats().seq_gaps, 4u);
+
+  // kRejoining -> kGaveUp when the restarted agent never says Hello; a
+  // given-up peer is dead and excused from acks.
+  ShutdownOne(FleetShmPrefix() + std::to_string(h1));
+  ASSERT_TRUE(tb.AwaitPeerState(h1, PeerState::kDeparted));
+  ASSERT_FALSE(tb.hub.RestartPeer(h1).empty());
+  ASSERT_TRUE(tb.AwaitPeerState(h1, PeerState::kGaveUp));
+  {
+    const TransportStats st = tb.hub.stats();
+    EXPECT_EQ(st.peers_gave_up, 1u);
+    EXPECT_EQ(st.peers_dead, 1u);
+    EXPECT_EQ(st.peers_rejoining, 0u);
+    EXPECT_EQ(tb.hub.dead_hosts(), std::vector<HostId>{h1});
+  }
+  tb.Ingest(800, ++seed, {0});
+  tb.Epoch();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  tb.ExpectPollIdentity(kSpecs, subs, "host 1 gave up");
 }
 
 }  // namespace
