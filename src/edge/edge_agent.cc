@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -187,34 +186,21 @@ std::vector<Flow> EdgeAgent::GetFlows(const LinkId& link, const TimeRange& range
 
 std::vector<Path> EdgeAgent::GetPaths(const FiveTuple& flow, const LinkId& link,
                                       const TimeRange& range) const {
-  return CollectTibPaths(flow, link, range);
-}
-
-std::vector<Path> EdgeAgent::CollectTibPaths(const FiveTuple& flow, const LinkId& link,
-                                             const TimeRange& range) const {
+  QueryResult list = Poll(
+      {.kind = StandingQuerySpec::Kind::kFlowList, .link = link, .range = range, .flow = flow});
   std::vector<Path> out;
-  std::unordered_set<uint64_t> seen;
-  tib_.ForEachRecordOfFlow(flow, range, [&](size_t, const TibRecord& rec) {
-    if (!rec.path.MatchesLinkQuery(link)) {
-      return;
-    }
-    if (seen.insert(rec.path.HashKey()).second) {
-      out.push_back(rec.path.ToPath());
-    }
-  });
+  for (Flow& f : std::get<FlowList>(list).flows) {
+    out.push_back(std::move(f.path));
+  }
   return out;
 }
 
 std::vector<Path> EdgeAgent::GetPathsLive(const FiveTuple& flow, const LinkId& link,
                                           const TimeRange& range) {
   // Exclusive: live decoding inserts into the trajectory cache.  Lock
-  // order: agent lock, then TIB shard locks inside CollectTibPaths.
+  // order: agent lock, then the flow's TIB shard lock inside GetPaths.
   std::unique_lock<std::shared_mutex> lock(mu_);
-  std::vector<Path> out = CollectTibPaths(flow, link, range);
-  std::unordered_set<uint64_t> seen;
-  for (const Path& p : out) {
-    seen.insert(CompactPath::FromPath(p).HashKey());
-  }
+  std::vector<Path> out = GetPaths(flow, link, range);
   for (const TrajectoryMemory::Record& rec : memory_.Snapshot()) {
     if (!(rec.key.flow == flow) || !range.Overlaps(rec.stime, rec.etime)) {
       continue;
@@ -224,37 +210,41 @@ std::vector<Path> EdgeAgent::GetPathsLive(const FiveTuple& flow, const LinkId& l
     if (!path) {
       continue;
     }
-    CompactPath cp = CompactPath::FromPath(*path);
-    if (cp.MatchesLinkQuery(link) && seen.insert(cp.HashKey()).second) {
+    // Exact dedup against the few paths of this one flow found so far.
+    const CompactPath cp = CompactPath::FromPath(*path);
+    if (cp.MatchesLinkQuery(link) &&
+        std::none_of(out.begin(), out.end(),
+                     [&cp](const Path& p) { return CompactPath::FromPath(p) == cp; })) {
       out.push_back(std::move(*path));
     }
   }
   return out;
 }
 
+// The flow-keyed filter of getCount and getDuration: every path of the
+// flow, or exactly flow.path when it is non-empty.
+static StandingQuerySpec FlowSpec(const Flow& flow, const TimeRange& range) {
+  StandingQuerySpec spec{
+      .kind = StandingQuerySpec::Kind::kCountSummary, .range = range, .flow = flow.id};
+  if (!flow.path.empty()) {
+    spec.path = CompactPath::FromPath(flow.path);
+  }
+  return spec;
+}
+
 CountSummary EdgeAgent::GetCount(const Flow& flow, const TimeRange& range) const {
-  CountSummary out;
-  CompactPath want = CompactPath::FromPath(flow.path);
-  tib_.ForEachRecordOfFlow(flow.id, range, [&](size_t, const TibRecord& rec) {
-    if (!flow.path.empty() && !(rec.path == want)) {
-      return;
-    }
-    out.bytes += rec.bytes;
-    out.pkts += rec.pkts;
-  });
-  return out;
+  return std::get<CountSummary>(Poll(FlowSpec(flow, range)));
 }
 
 SimTime EdgeAgent::GetDuration(const Flow& flow, const TimeRange& range) const {
   SimTime lo = kSimTimeMax;
   SimTime hi = -1;
-  CompactPath want = CompactPath::FromPath(flow.path);
+  const StandingQuerySpec spec = FlowSpec(flow, range);
   tib_.ForEachRecordOfFlow(flow.id, range, [&](size_t, const TibRecord& rec) {
-    if (!flow.path.empty() && !(rec.path == want)) {
-      return;
+    if (spec.Matches(rec)) {
+      lo = std::min(lo, rec.stime);
+      hi = std::max(hi, rec.etime);
     }
-    lo = std::min(lo, rec.stime);
-    hi = std::max(hi, rec.etime);
   });
   return hi < lo ? 0 : hi - lo;
 }

@@ -7,13 +7,17 @@
 //     IDs into a full path (trajectory cache, then CherryPick decode
 //     against the static topology) and append a TIB record.
 //  3. Query serving — the Table 1 host API over local TIB + live memory.
+//     getFlows, getPaths and getCount are polls of one StandingQuerySpec
+//     each (Poll): the filter, fold and materialize of the standing
+//     queries, so a poll and a subscription cannot disagree.
 //  4. Active monitoring — tcpretrans-style retransmission tracking plus
 //     installable periodic queries; violations raise Alarm() upstream.
 //
 // Concurrency: the TIB synchronizes itself (flow-hash shards, each with a
 // reader/writer lock — see tib.h), so pure-TIB queries (getFlows,
 // getPaths, getCount, getDuration, TopK, FlowSizeDistribution) never take
-// an agent-wide lock and scale with the TIB's scan pool.  The agent's own
+// an agent-wide lock; the whole-TIB ones scale with the TIB's scan pool,
+// and the per-flow ones read one shard.  The agent's own
 // reader/writer lock now guards only the non-TIB mutable state:
 // TrajectoryMemory, the trajectory cache, and the retransmission monitor.
 // A separate registration mutex guards the hook/periodic-query tables.
@@ -23,7 +27,7 @@
 // Record hooks, periodic query bodies, and RaiseAlarm all run *outside*
 // every lock, so they may freely call back into the query API.
 //
-// Lock hierarchy: agent lock -> TIB shard locks (GetPathsLive); the TIB
+// Lock hierarchy: agent lock -> TIB shard lock (GetPathsLive); the TIB
 // never calls back into the agent.  tib() is safe to use at any time
 // (every Tib method locks internally); the remaining per-subsystem state
 // is exposed only through locked wrappers (RecordRetransmission,
@@ -119,8 +123,10 @@ class EdgeAgent {
   // field.  A poll of the kFlowList kind (Poll below).
   std::vector<Flow> GetFlows(const LinkId& link, const TimeRange& range) const;
 
-  // Paths taken by `flow` that include `link` during `range`.  A
-  // one-shard by-flow lookup, not a standing kind, so not a Poll.
+  // Paths taken by `flow` that include `link` during `range`, in order
+  // of first appearance.  A flow-keyed kFlowList Poll: one shard, read
+  // through the by-flow index; distinct paths are told apart by exact
+  // equality.
   std::vector<Path> GetPaths(const FiveTuple& flow, const LinkId& link,
                              const TimeRange& range) const;
 
@@ -132,13 +138,18 @@ class EdgeAgent {
                                  const TimeRange& range);
 
   // Packet/byte counts of a Flow (empty path = all paths) within `range`.
+  // A flow-keyed kCountSummary Poll, with the exact path when given.
   CountSummary GetCount(const Flow& flow, const TimeRange& range) const;
 
   // Duration of a Flow within `range` (max etime - min stime), 0 if absent.
+  // Filters the flow's records with the same flow-keyed spec as GetCount,
+  // but is not a Poll: no standing kind folds a time span, and nothing
+  // subscribes to a duration or polls one remotely.
   SimTime GetDuration(const Flow& flow, const TimeRange& range) const;
 
   // Flows whose consecutive retransmissions meet the threshold (<=0 uses
-  // the configured default).
+  // the configured default).  Reads the retransmission monitor, not the
+  // TIB, so it is not a Poll.
   std::vector<FiveTuple> GetPoorTcpFlows(int threshold = 0) const;
 
   // Records a retransmission observed for `flow` at `now` — the simulated
@@ -179,8 +190,8 @@ class EdgeAgent {
 
   void SetAlarmHandler(AlarmHandler handler) { alarm_handler_ = std::move(handler); }
 
-  // Non-owning pool for shard-parallel TIB scans (Poll and its named
-  // forwards, RecordsOnLink); nullptr reverts to sequential scans.
+  // Non-owning pool for shard-parallel TIB scans (Poll of an unkeyed
+  // spec and its named forwards); nullptr reverts to sequential scans.
   // Results are byte-identical either way.
   void SetQueryThreadPool(ThreadPool* pool) { tib_.SetScanPool(pool); }
 
@@ -269,10 +280,6 @@ class EdgeAgent {
   // Callers must hold mu_ exclusively (the cache insert mutates).
   std::optional<Path> DecodeHeader(IpAddr src_ip, LinkLabel dscp,
                                    const std::vector<LinkLabel>& tags);
-
-  // GetPaths body over the (self-synchronized) TIB; takes no agent lock.
-  std::vector<Path> CollectTibPaths(const FiveTuple& flow, const LinkId& link,
-                                    const TimeRange& range) const;
 
   // Rebuilds hook_list_ from hooks_; callers must hold reg_mu_.
   void RebuildHookList();

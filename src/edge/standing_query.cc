@@ -8,6 +8,10 @@
 
 namespace pathdump {
 
+bool StandingQuerySpec::MatchesKey(const TibRecord& rec) const {
+  return (!flow || rec.flow == *flow) && (!path || rec.path == *path);
+}
+
 FoldState FoldState::MergeShards(const std::vector<FoldState>& shards) {
   FoldState out;
   size_t flows = 0;
@@ -124,12 +128,20 @@ QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FoldS
 }
 
 QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec) {
-  std::vector<FoldState> shards = tib.CollectShardPartials<FoldState>(
-      [&spec](FoldState& state, uint64_t id, const TibRecord& rec) {
-        if (spec.Matches(rec)) {
-          state.Add(spec, id, rec);
-        }
-      });
+  auto fold = [&spec](FoldState& state, uint64_t id, const TibRecord& rec) {
+    if (spec.Matches(rec)) {
+      state.Add(spec, id, rec);
+    }
+  };
+  std::vector<FoldState> shards;
+  if (spec.flow) {
+    shards.resize(1);
+    tib.ForEachRecordOfFlow(*spec.flow, spec.range, [&](size_t id, const TibRecord& rec) {
+      fold(shards[0], id, rec);
+    });
+  } else {
+    shards = tib.CollectShardPartials<FoldState>(fold);
+  }
   return MaterializeStandingResult(spec, FoldState::MergeShards(shards));
 }
 

@@ -8,7 +8,8 @@
 // agent folds each record at insert time and, on an epoch tick, ships
 // only what changed.  Both schedules run one kernel:
 //
-//  * filter — StandingQuerySpec::Matches (range overlap + link match);
+//  * filter — StandingQuerySpec::Matches (flow key and exact path when
+//             set, range overlap, link match);
 //  * fold   — FoldState::Add: per-flow byte sums for kTopK and
 //             kFlowSizeHistogram, distinct (flow, path) items with their
 //             smallest insertion id for kFlowList, byte/packet sums for
@@ -21,7 +22,8 @@
 //     FoldState ──▶ controller FoldState::Merge ──▶ materialize
 //     (src/controller/subscription.h).
 //   poll: PollTib ──(shard-parallel scan under shared shard locks, every
-//     retained record filtered + folded)──▶ per-shard FoldStates
+//     retained record filtered + folded; a flow-keyed spec walks only
+//     its flow's records in its one shard)──▶ per-shard FoldStates
 //     ──(MergeShards)──▶ materialize.
 //
 // One state type sits between filter and materialize everywhere: the
@@ -85,13 +87,25 @@ struct StandingQuerySpec {
   // ... and a time range the record must overlap.  A standing query
   // filters once, at insert; a standing range is normally open-ended.
   TimeRange range = TimeRange::All();
+  // Optional flow key: only this flow's records match, and a poll reads
+  // its one shard through the by-flow index instead of scanning
+  // (getPaths, getCount).
+  std::optional<FiveTuple> flow = std::nullopt;
+  // Optional exact path the record's path must equal (getCount of a
+  // Flow with a path).
+  std::optional<CompactPath> path = std::nullopt;
 
   // The record filter of every evaluation — insert hook, resync
   // snapshot and poll scan — so they can never disagree about which
-  // records belong to the query.
+  // records belong to the query.  The key checks come last and out of
+  // line, so an unkeyed spec's filter, which every scanned record and
+  // every insert hook runs, stays small enough to inline.
   bool Matches(const TibRecord& rec) const {
-    return rec.Overlaps(range) && rec.path.MatchesLinkQuery(link);
+    return rec.Overlaps(range) && rec.path.MatchesLinkQuery(link) &&
+           ((!flow && !path) || MatchesKey(rec));
   }
+  // The flow-key and exact-path part of Matches.
+  bool MatchesKey(const TibRecord& rec) const;
 
   friend bool operator==(const StandingQuerySpec&, const StandingQuerySpec&) = default;
 };
@@ -328,8 +342,10 @@ struct QueryDelta {
 // under that shard's shared lock; a flow picks its shard, so the
 // per-shard states are key-disjoint and merge by concatenation or
 // summation (FoldState::MergeShards) before the shared materialize.
-// Byte-identical at any shard and worker count, and to a subscription's
-// materialized result over the same records.
+// A flow-keyed spec folds only that flow's records, in id order, under
+// its one shard's shared lock (Tib::ForEachRecordOfFlow), with no scan
+// task.  Byte-identical at any shard and worker count, and to a
+// subscription's materialized result over the same records.
 QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec);
 
 // The per-agent accumulator: one FoldState partial per TIB shard,

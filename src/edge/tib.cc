@@ -470,22 +470,6 @@ bool Tib::ForEachRecordOfFlow(const FiveTuple& flow, const TimeRange& range,
   return retained;
 }
 
-std::vector<size_t> Tib::RecordsOnLink(const LinkId& link, const TimeRange& range) const {
-  auto partial = CollectShardPartials<std::vector<size_t>>(
-      [&](std::vector<size_t>& ids, uint64_t id, const TibRecord& rec) {
-        if (rec.Overlaps(range) && rec.path.MatchesLinkQuery(link)) {
-          ids.push_back(size_t(id));
-        }
-      });
-  std::vector<size_t> out;
-  for (const std::vector<size_t>& ids : partial) {
-    out.insert(out.end(), ids.begin(), ids.end());
-  }
-  // Ascending id == insertion order: the same answer at any shard count.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 size_t Tib::ApproxBytes() const {
   size_t bytes = 0;
   for (const auto& sp : shards_) {

@@ -6,11 +6,11 @@
 // deliberate substitution documented in DESIGN.md) sharded by flow hash:
 // `FiveTupleHash(flow) % num_shards` picks the shard, and each shard owns
 // its own record column, by-flow index, and reader/writer lock.  Inserts
-// and per-flow lookups therefore touch exactly one shard, while full scans
-// (RecordsOnLink, and the polls of src/edge/standing_query.h through
-// CollectShardPartials) fan out shard-parallel over an optional
-// ThreadPool and merge per-shard partials with a deterministic ordered
-// reduce.  All other lookups are scans — mirroring the document-store
+// and per-flow lookups (ForEachRecordOfFlow, which flow-keyed polls use)
+// therefore touch exactly one shard, while full scans (the polls of
+// src/edge/standing_query.h, through CollectShardPartials) fan out
+// shard-parallel over an optional ThreadPool and merge per-shard
+// partials with a deterministic ordered reduce.  All other lookups are scans — mirroring the document-store
 // access pattern, and keeping a 240 K-record TIB around the ~110 MB the
 // paper reports (ours is far smaller per record).
 //
@@ -124,8 +124,9 @@ struct CompactPath {
     return ContainsDirectedLink(q.src, q.dst);
   }
 
-  // Folds the path's switches into `seed` — the shared dedup key for
-  // getFlows/getPaths (one definition so every dedup site agrees).
+  // Folds the path's switches into `seed` — where the FlowList item
+  // index places a (flow, path) pair.  Only a placement hash: exact
+  // equality decides a match, so a 64-bit collision merges nothing.
   uint64_t HashKey(uint64_t seed = 0) const {
     for (int i = 0; i < len; ++i) {
       seed = HashCombine(seed, sw[size_t(i)]);
@@ -260,13 +261,6 @@ class Tib {
   // flow that was never inserted or whose records have all been evicted.
   bool ForEachRecordOfFlow(const FiveTuple& flow, const TimeRange& range,
                            const std::function<void(size_t id, const TibRecord& rec)>& fn) const;
-
-  // Ids of records whose path matches the (wildcardable) link query and
-  // that overlap the range, ascending.  (<*, *>) matches every record.
-  // Shard-parallel when a scan pool is set.  (getFlows, getCount, TopK
-  // and the flow-size distribution are polls over CollectShardPartials —
-  // PollTib in src/edge/standing_query.h.)
-  std::vector<size_t> RecordsOnLink(const LinkId& link, const TimeRange& range) const;
 
   // The shard-parallel scan primitive: one Acc per shard, filled by
   // visit(acc, id, rec) for every retained record of that shard in

@@ -90,6 +90,17 @@ ShmSpscRing ShmSpscRing::CreateAt(void* mem, size_t slot_bytes, size_t slot_coun
   return ring;
 }
 
+ShmSpscRing& ShmSpscRing::operator=(const ShmSpscRing& other) {
+  ctl_ = other.ctl_;
+  slots_ = other.slots_;
+  expected_seq_ = other.expected_seq_;
+  popped_ = other.popped_;
+  seq_primed_ = other.seq_primed_;
+  seq_gaps_.store(other.seq_gaps(), std::memory_order_relaxed);
+  corrupt_.store(other.corrupt(), std::memory_order_relaxed);
+  return *this;
+}
+
 ShmSpscRing ShmSpscRing::ViewAt(void* mem) {
   ShmSpscRing ring;
   auto* ctl = static_cast<RingControl*>(mem);
@@ -164,7 +175,7 @@ bool ShmSpscRing::Push(const uint8_t* data, size_t len, int64_t timeout_us) {
 }
 
 bool ShmSpscRing::Pop(std::vector<uint8_t>& out, uint64_t* seq_out) {
-  if (corrupt_) {
+  if (corrupt()) {
     return false;
   }
   const uint64_t tail = ctl_->tail.load(std::memory_order_relaxed);  // consumer-owned
@@ -183,7 +194,7 @@ bool ShmSpscRing::Pop(std::vector<uint8_t>& out, uint64_t* seq_out) {
   if (len > max_message_bytes() || k > head - tail) {
     // A length no valid producer can have written: the ring is
     // desynchronized (shm corruption).  Poison rather than guess.
-    corrupt_ = true;
+    corrupt_.store(true, std::memory_order_relaxed);
     return false;
   }
   out.resize(len);
@@ -191,7 +202,8 @@ bool ShmSpscRing::Pop(std::vector<uint8_t>& out, uint64_t* seq_out) {
   ctl_->tail.store(tail + k, std::memory_order_release);
   WakeWord(ctl_->space_doorbell);
   if (seq_primed_ && seq > expected_seq_) {
-    seq_gaps_ += seq - expected_seq_;
+    // Single writer: a load and a store, no read-modify-write needed.
+    seq_gaps_.store(seq_gaps() + seq - expected_seq_, std::memory_order_relaxed);
   }
   expected_seq_ = seq + 1;
   seq_primed_ = true;

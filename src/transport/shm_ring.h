@@ -75,6 +75,10 @@ struct RingControl {
 class ShmSpscRing {
  public:
   ShmSpscRing() = default;
+  // A view copies its consumer state; copies are made before the view is
+  // shared with other threads.
+  ShmSpscRing(const ShmSpscRing& other) { *this = other; }
+  ShmSpscRing& operator=(const ShmSpscRing& other);
 
   // Bytes a ring with this geometry occupies (control block + slots).
   static size_t BytesFor(size_t slot_bytes, size_t slot_count);
@@ -130,11 +134,13 @@ class ShmSpscRing {
            ctl_->head.load(std::memory_order_acquire);
   }
   bool closed() const { return ctl_->closed.load(std::memory_order_acquire) != 0; }
-  bool corrupt() const { return corrupt_; }
+  // Safe from any thread (see seq_gaps_).
+  bool corrupt() const { return corrupt_.load(std::memory_order_relaxed); }
 
   // Consumer-side sequence accounting (valid on the consuming view).
   uint64_t messages_popped() const { return popped_; }
-  uint64_t seq_gaps() const { return seq_gaps_; }  // messages missing, cumulative
+  // Messages missing, cumulative.  Safe from any thread.
+  uint64_t seq_gaps() const { return seq_gaps_.load(std::memory_order_relaxed); }
   uint64_t blocked_pushes() const { return ctl_->blocked_pushes.load(std::memory_order_relaxed); }
   // Messages published but not yet consumed (snapshot).
   uint64_t backlog_slots() const {
@@ -151,12 +157,16 @@ class ShmSpscRing {
   void CopyIn(uint64_t slot_pos, size_t offset, const uint8_t* src, size_t len);
   void CopyOut(uint64_t slot_pos, size_t offset, uint8_t* dst, size_t len) const;
 
-  // Consumer-local state (single consumer; no sharing).
+  // Consumer-local state (single consumer; no sharing) ...
   uint64_t expected_seq_ = 0;
-  uint64_t seq_gaps_ = 0;
   uint64_t popped_ = 0;
   bool seq_primed_ = false;
-  bool corrupt_ = false;
+  // ... except these two, which only the consumer writes (in Pop) but
+  // any thread may read (the hub's stats(), RestartPeer and Flush run on
+  // API threads while the reactor pops): relaxed atomics, since each is
+  // a standalone counter or flag that orders nothing else.
+  std::atomic<uint64_t> seq_gaps_{0};
+  std::atomic<bool> corrupt_{false};
 };
 
 // A named POSIX shared-memory segment holding one agent's channel pair:

@@ -45,6 +45,18 @@ void PutTuple(std::vector<uint8_t>& out, const FiveTuple& t) {
   PutU8(out, t.protocol);
 }
 
+// A path: u8 length, then a u32 per switch.
+void PutPath(std::vector<uint8_t>& out, const CompactPath& path) {
+  PutU8(out, path.len);
+  for (uint8_t i = 0; i < path.len; ++i) {
+    PutU32(out, path.sw[i]);
+  }
+}
+
+// The kSubscribe flags byte: which optional spec fields follow the range.
+constexpr uint8_t kSpecHasFlow = 1;
+constexpr uint8_t kSpecHasPath = 2;
+
 // Bounds-checked read cursor over a frame payload.  Every Get returns
 // false on underrun; the caller maps that to kBadPayload (the outer
 // length checks already rejected truncated *frames*, so an underrun
@@ -90,6 +102,24 @@ struct Cursor {
     return GetU32(&t->src_ip) && GetU32(&t->dst_ip) && GetU16(&t->src_port) &&
            GetU16(&t->dst_port) && GetU8(&t->protocol);
   }
+  bool GetPath(CompactPath* path) {
+    if (!GetU8(&path->len) || path->len > CompactPath::kMaxSwitches) return false;
+    for (uint8_t i = 0; i < path->len; ++i) {
+      if (!GetU32(&path->sw[i])) return false;
+    }
+    return true;
+  }
+  // Reserved and pad bytes must be zero: every accepted frame is the
+  // one the encoder writes.
+  bool GetZeros(size_t n) {
+    if (left < n) return false;
+    for (size_t i = 0; i < n; ++i) {
+      if (p[i] != 0) return false;
+    }
+    p += n;
+    left -= n;
+    return true;
+  }
 };
 
 // Appends the 16-byte header with a zeroed crc field; FinishFrame
@@ -131,15 +161,11 @@ bool ValidKind(uint8_t kind) { return kind <= uint8_t(StandingQuerySpec::Kind::k
 // protocol violation (empty epochs never ship).
 WireError DecodeQueryDeltaPayload(Cursor c, DecodedFrame* out, bool allow_empty) {
   QueryDelta& d = out->delta;
-  uint8_t kind, pad;
-  if (!c.GetU64(&d.subscription_id) || !c.GetU32(&d.host) || !c.GetU8(&kind)) {
+  uint8_t kind;
+  if (!c.GetU64(&d.subscription_id) || !c.GetU32(&d.host) || !c.GetU8(&kind) ||
+      !c.GetZeros(3) || !c.GetU64(&d.epoch) || !ValidKind(kind)) {
     return WireError::kBadPayload;
   }
-  for (int i = 0; i < 3; ++i) {
-    if (!c.GetU8(&pad)) return WireError::kBadPayload;
-  }
-  if (!c.GetU64(&d.epoch)) return WireError::kBadPayload;
-  if (!ValidKind(kind)) return WireError::kBadPayload;
   d.kind = StandingQuerySpec::Kind(kind);
   // Items must arrive in the encoder's canonical order, strictly: a
   // repeated key would otherwise fold silently into its first copy.
@@ -163,12 +189,8 @@ WireError DecodeQueryDeltaPayload(Cursor c, DecodedFrame* out, bool allow_empty)
     case StandingQuerySpec::Kind::kFlowList:
       while (c.left > 0) {
         FoldState::FlowItem item;
-        if (!c.GetU64(&item.id) || !c.GetTuple(&item.flow) || !c.GetU8(&item.path.len)) {
+        if (!c.GetU64(&item.id) || !c.GetTuple(&item.flow) || !c.GetPath(&item.path)) {
           return WireError::kBadPayload;
-        }
-        if (item.path.len > CompactPath::kMaxSwitches) return WireError::kBadPayload;
-        for (uint8_t i = 0; i < item.path.len; ++i) {
-          if (!c.GetU32(&item.path.sw[i])) return WireError::kBadPayload;
         }
         if (!p.flow_items.empty() && item.id <= p.flow_items.back().id) {
           return WireError::kBadPayload;
@@ -213,21 +235,22 @@ WireError DecodeAlarmPayload(Cursor c, DecodedFrame* out) {
 }
 
 WireError DecodeSubscribePayload(Cursor c, DecodedFrame* out) {
-  uint8_t kind, pad;
+  StandingQuerySpec& spec = out->spec;
+  uint8_t kind, flags;
   uint64_t k;
-  if (!c.GetU64(&out->subscription_id) || !c.GetU8(&kind)) return WireError::kBadPayload;
-  for (int i = 0; i < 3; ++i) {
-    if (!c.GetU8(&pad)) return WireError::kBadPayload;
-  }
-  if (!ValidKind(kind)) return WireError::kBadPayload;
-  out->spec.kind = StandingQuerySpec::Kind(kind);
-  if (!c.GetU32(&out->spec.link.src) || !c.GetU32(&out->spec.link.dst) || !c.GetU64(&k) ||
-      !c.GetI64(&out->spec.bin_width) || !c.GetI64(&out->spec.range.begin) ||
-      !c.GetI64(&out->spec.range.end)) {
+  if (!c.GetU64(&out->subscription_id) || !c.GetU8(&kind) || !c.GetU8(&flags) ||
+      !c.GetZeros(2) || !c.GetU32(&spec.link.src) || !c.GetU32(&spec.link.dst) ||
+      !c.GetU64(&k) || !c.GetI64(&spec.bin_width) || !c.GetI64(&spec.range.begin) ||
+      !c.GetI64(&spec.range.end) || !ValidKind(kind) ||
+      (flags & ~(kSpecHasFlow | kSpecHasPath)) != 0) {
     return WireError::kBadPayload;
   }
-  out->spec.k = size_t(k);
-  if (c.left != 0) return WireError::kBadPayload;
+  spec.kind = StandingQuerySpec::Kind(kind);
+  spec.k = size_t(k);
+  if (((flags & kSpecHasFlow) && !c.GetTuple(&spec.flow.emplace())) ||
+      ((flags & kSpecHasPath) && !c.GetPath(&spec.path.emplace())) || c.left != 0) {
+    return WireError::kBadPayload;
+  }
   return WireError::kOk;
 }
 
@@ -325,10 +348,7 @@ size_t EncodeDeltaShapedFrame(FrameType type, const QueryDelta& delta,
       for (const FoldState::FlowItem* item : items) {
         PutU64(out, item->id);
         PutTuple(out, item->flow);
-        PutU8(out, item->path.len);
-        for (uint8_t i = 0; i < item->path.len; ++i) {
-          PutU32(out, item->path.sw[i]);
-        }
+        PutPath(out, item->path);
       }
       break;
     }
@@ -391,15 +411,20 @@ size_t EncodeSubscribeFrame(uint64_t subscription_id, const StandingQuerySpec& s
   const size_t start = BeginFrame(out, FrameType::kSubscribe);
   PutU64(out, subscription_id);
   PutU8(out, uint8_t(spec.kind));
-  PutU8(out, 0);
-  PutU8(out, 0);
-  PutU8(out, 0);
+  PutU8(out, uint8_t((spec.flow ? kSpecHasFlow : 0) | (spec.path ? kSpecHasPath : 0)));
+  PutU16(out, 0);
   PutU32(out, spec.link.src);
   PutU32(out, spec.link.dst);
   PutU64(out, uint64_t(spec.k));
   PutI64(out, spec.bin_width);
   PutI64(out, spec.range.begin);
   PutI64(out, spec.range.end);
+  if (spec.flow) {
+    PutTuple(out, *spec.flow);
+  }
+  if (spec.path) {
+    PutPath(out, *spec.path);
+  }
   return FinishFrame(out, start);
 }
 
@@ -472,6 +497,7 @@ WireError DecodeFrame(const uint8_t* data, size_t size, DecodedFrame* out) {
   if (type < uint8_t(FrameType::kHello) || type > uint8_t(FrameType::kSnapshot)) {
     return WireError::kBadType;
   }
+  if (reserved != 0) return WireError::kBadPayload;
   *out = DecodedFrame{};
   out->type = FrameType(type);
   Cursor c{data + kFrameHeaderBytes, payload_len};
@@ -499,13 +525,11 @@ WireError DecodeFrame(const uint8_t* data, size_t size, DecodedFrame* out) {
     case FrameType::kEpochTick:
       if (!c.GetU64(&out->token) || c.left != 0) return WireError::kBadPayload;
       return WireError::kOk;
-    case FrameType::kAck: {
-      uint32_t pad;
-      if (!c.GetU32(&out->host) || !c.GetU32(&pad) || !c.GetU64(&out->token) || c.left != 0) {
+    case FrameType::kAck:
+      if (!c.GetU32(&out->host) || !c.GetZeros(4) || !c.GetU64(&out->token) || c.left != 0) {
         return WireError::kBadPayload;
       }
       return WireError::kOk;
-    }
     case FrameType::kIngest:
       if (!c.GetU32(&out->ingest_count) || !c.GetU32(&out->ingest_seed) ||
           !c.GetU32(&out->ingest_ip_space) || !c.GetU32(&out->ingest_switch_space) ||

@@ -7,8 +7,8 @@
 // framing (src/edge/standing_query.h) field for field, so the modeled
 // wire cost is the measured wire cost.
 //
-// A kQueryDelta / kSnapshot payload (version 2) is 24 bytes of framing —
-// u64 subscription id, u32 host, u8 kind, 3 zero bytes, u64 epoch —
+// A kQueryDelta / kSnapshot payload is 24 bytes of framing — u64
+// subscription id, u32 host, u8 kind, 3 zero bytes, u64 epoch —
 // followed by the FoldState of that kind:
 //
 //   kTopK, kFlowSizeHistogram  per flow: 13-byte packed 5-tuple, u64
@@ -20,16 +20,35 @@
 //   kCountSummary              exactly one (u64 bytes, u64 pkts) pair
 //
 // A kQueryDelta payload is never empty (no flows, no items, or an
-// all-zero count); a kSnapshot payload may be.  Version 1 shipped raw
-// records for the FlowList and CountSummary kinds; a v1 frame is
-// rejected as kBadVersion rather than misparsed.
+// all-zero count); a kSnapshot payload may be.
+//
+// A kSubscribe payload (version 3) carries one StandingQuerySpec:
+//
+//   u64 subscription id, u8 kind, u8 flags, 2 zero bytes,
+//   u32 link src, u32 link dst, u64 k, i64 bin width,
+//   i64 range begin, i64 range end,
+//   [flags bit 0] the flow key as a 13-byte packed 5-tuple,
+//   [flags bit 1] the exact path: u8 length (<= kMaxSwitches), u32 per
+//                 switch
+//
+// Other flag bits are rejected, so a keyed spec is never silently
+// widened to every flow.
+//
+// Pad rule: the header's reserved u16, the delta framing's 3 pad bytes,
+// the subscribe pad and the ack's u32 pad are zero, and a nonzero one is
+// kBadPayload — every accepted frame is byte for byte what the encoder
+// writes for the decoded object.
+//
+// Versions: v1 shipped raw records for the FlowList and CountSummary
+// kinds; v2 had no spec flags (three subscribe pad bytes).  Frames of
+// either are rejected as kBadVersion rather than misparsed.
 //
 // Frame layout (little-endian, fixed offsets):
 //
 //   0  u32  magic       'PDTP'
 //   4  u8   version
 //   5  u8   type        FrameType
-//   6  u16  reserved    (zero; covered by the checksum)
+//   6  u16  reserved    (zero, else kBadPayload; covered by the checksum)
 //   8  u32  payload_len bytes after the 16-byte header
 //   12 u32  crc32       IEEE CRC-32 over the header (crc field zeroed)
 //                       and the payload — any single bit flip anywhere
@@ -58,7 +77,7 @@ namespace pathdump {
 namespace transport {
 
 inline constexpr uint32_t kFrameMagic = 0x50445450u;  // 'PDTP'
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 16;
 // Upper bound on a frame payload: larger declared lengths are rejected
 // before any allocation, so a corrupt length can never OOM the reactor.

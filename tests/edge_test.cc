@@ -92,10 +92,26 @@ TEST(TibTest, LinkQueries) {
   FiveTuple f1{1, 2, 10, 80, 6};
   tib.Insert(MakeRecord(f1, {1, 2, 3}, 0, 100, 1000, 2));
   tib.Insert(MakeRecord(f1, {1, 4, 3}, 0, 100, 500, 1));
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{1, 2}, TimeRange::All()).size(), 1u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{kInvalidNode, 3}, TimeRange::All()).size(), 2u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()).size(), 2u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{1, 2}, TimeRange{200, 300}).size(), 0u);
+  // Each record is its own (flow, path) pair, so a FlowList poll counts
+  // the matching records, and a CountSummary poll sums exactly them.
+  auto flows_on = [&tib](const LinkId& link, const TimeRange& range) {
+    return std::get<FlowList>(
+               PollTib(tib, {.kind = StandingQuerySpec::Kind::kFlowList,
+                             .link = link,
+                             .range = range}))
+        .flows.size();
+  };
+  auto count_on = [&tib](const LinkId& link, const TimeRange& range) {
+    return std::get<CountSummary>(PollTib(
+        tib, {.kind = StandingQuerySpec::Kind::kCountSummary, .link = link, .range = range}));
+  };
+  EXPECT_EQ(flows_on(LinkId{1, 2}, TimeRange::All()), 1u);
+  EXPECT_EQ(flows_on(LinkId{kInvalidNode, 3}, TimeRange::All()), 2u);
+  EXPECT_EQ(flows_on(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()), 2u);
+  EXPECT_EQ(flows_on(LinkId{1, 2}, TimeRange{200, 300}), 0u);
+  EXPECT_EQ(count_on(LinkId{1, 2}, TimeRange::All()), (CountSummary{1000, 2}));
+  EXPECT_EQ(count_on(LinkId{kInvalidNode, 3}, TimeRange::All()), (CountSummary{1500, 3}));
+  EXPECT_EQ(count_on(LinkId{1, 2}, TimeRange{200, 300}), CountSummary{});
 }
 
 TEST(TibTest, ApproxBytesGrows) {

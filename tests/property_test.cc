@@ -326,7 +326,10 @@ TEST_P(TimeRangeSweep, OverlapSemantics) {
   rec.pkts = 1;
   tib.Insert(rec);
   EXPECT_EQ(tib.RecordsOfFlow(rec.flow, probe.range).size(), probe.hit ? 1u : 0u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{1, 2}, probe.range).size(), probe.hit ? 1u : 0u);
+  const CountSummary on_link = std::get<CountSummary>(PollTib(
+      tib,
+      {.kind = StandingQuerySpec::Kind::kCountSummary, .link = LinkId{1, 2}, .range = probe.range}));
+  EXPECT_EQ(on_link, (probe.hit ? CountSummary{10, 1} : CountSummary{}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Probes, TimeRangeSweep, ::testing::Range(0, 7));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
 
 #include "src/common/rng.h"
 #include "src/controller/aggregation_tree.h"
@@ -453,6 +454,49 @@ TEST(AgentSemantics, GetFlowsDedupsAndDurationSpans) {
   EXPECT_EQ(agent.GetDuration(Flow{flow, path}, TimeRange{0, 5 * kNsPerSec}), kNsPerSec);
 }
 
+// Two distinct paths of one flow whose 64-bit CompactPath::HashKey values
+// collide: every per-flow query must tell them apart by exact equality,
+// and getPaths must agree with getFlows.
+TEST(AgentSemantics, HashCollidingPathsStayDistinct) {
+  Topology topo = BuildVl2(4, 4, 2, 2);
+  LinkLabelMap labels(&topo);
+  CherryPickCodec codec(&topo, &labels);
+  EdgeAgent agent(topo.hosts().back(), &topo, &codec);
+
+  const Path a = {52830, 1459577729};
+  const Path b = {5411, 1369665158};
+  ASSERT_EQ(CompactPath::FromPath(a).HashKey(), CompactPath::FromPath(b).HashKey());
+  const FiveTuple flow{1, 2, 10, 80, kProtoTcp};
+  for (const auto& [path, stime, bytes] :
+       {std::tuple{a, SimTime(0), uint64_t(1000)}, std::tuple{b, 5 * kNsPerSec, uint64_t(300)}}) {
+    TibRecord rec;
+    rec.flow = flow;
+    rec.path = CompactPath::FromPath(path);
+    rec.stime = stime;
+    rec.etime = stime + kNsPerSec;
+    rec.bytes = bytes;
+    rec.pkts = 1;
+    agent.IngestRecord(rec, rec.etime);
+  }
+
+  const LinkId any{kInvalidNode, kInvalidNode};
+  std::vector<Path> listed;
+  for (const Flow& f : agent.GetFlows(any, TimeRange::All())) {
+    if (f.id == flow) {
+      listed.push_back(f.path);
+    }
+  }
+  EXPECT_EQ(listed, (std::vector<Path>{a, b}));
+  EXPECT_EQ(agent.GetPaths(flow, any, TimeRange::All()), listed);
+  EXPECT_EQ(agent.GetPathsLive(flow, any, TimeRange::All()), listed);
+  EXPECT_EQ(agent.GetPaths(flow, LinkId{b[0], b[1]}, TimeRange::All()), std::vector<Path>{b});
+  EXPECT_EQ(agent.GetCount(Flow{flow, a}, TimeRange::All()), (CountSummary{1000, 1}));
+  EXPECT_EQ(agent.GetCount(Flow{flow, b}, TimeRange::All()), (CountSummary{300, 1}));
+  EXPECT_EQ(agent.GetCount(Flow{flow, {}}, TimeRange::All()), (CountSummary{1300, 2}));
+  EXPECT_EQ(agent.GetDuration(Flow{flow, b}, TimeRange::All()), kNsPerSec);
+  EXPECT_EQ(agent.GetDuration(Flow{flow, {}}, TimeRange::All()), 6 * kNsPerSec);
+}
+
 // --- Adversarial frame decoding (src/transport/wire.h) ---
 //
 // The transport decoder is total: every truncated, oversized, or
@@ -557,6 +601,21 @@ std::vector<uint8_t> HandEncodedDeltaFrame(FrameType type, StandingQuerySpec::Ki
   return frame;
 }
 
+// A flow-keyed, path-filtered subscribe spec: every optional v3 field set.
+StandingQuerySpec KeyedSpec() {
+  return {.kind = Kind::kCountSummary,
+          .link = LinkId{3, kInvalidNode},
+          .range = TimeRange{100, 900},
+          .flow = FiveTuple{1, 2, 10, 80, kProtoTcp},
+          .path = CompactPath::FromPath({3, 4, 5})};
+}
+
+std::vector<uint8_t> KeyedSubscribeFrame() {
+  std::vector<uint8_t> frame;
+  transport::EncodeSubscribeFrame(17, KeyedSpec(), frame);
+  return frame;
+}
+
 TEST(WireAdversarial, QueryDeltaRoundTripsAllKindsAtModeledSize) {
   for (StandingQuerySpec::Kind kind :
        {StandingQuerySpec::Kind::kTopK, StandingQuerySpec::Kind::kFlowSizeHistogram,
@@ -595,6 +654,127 @@ TEST(WireAdversarial, PerFlowDeltaPayloadBytesAreGolden) {
       // flow (1, 2, 20, 80, tcp), 900 bytes
       1, 0, 0, 0, 2, 0, 0, 0, 20, 0, 80, 0, 6, 0x84, 0x03, 0, 0, 0, 0, 0, 0};
   EXPECT_EQ(std::vector<uint8_t>(frame.begin() + kFrameHeaderBytes, frame.end()), golden);
+}
+
+TEST(WireAdversarial, SubscribePayloadBytesAreGolden) {
+  // Unkeyed: flags 0, nothing after the range.
+  std::vector<uint8_t> frame;
+  transport::EncodeSubscribeFrame(
+      17, {.kind = Kind::kTopK, .k = 5, .link = LinkId{3, 7}, .range = TimeRange{100, 900}},
+      frame);
+  const std::vector<uint8_t> unkeyed = {
+      // subscription 17, kind kTopK, flags 0, 2 pad bytes
+      17, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      // link (3, 7), k 5, bin width 10000
+      3, 0, 0, 0, 7, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0x10, 0x27, 0, 0, 0, 0, 0, 0,
+      // range [100, 900)
+      100, 0, 0, 0, 0, 0, 0, 0, 0x84, 0x03, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(std::vector<uint8_t>(frame.begin() + kFrameHeaderBytes, frame.end()), unkeyed);
+
+  // Keyed: flags 3, then the packed 5-tuple and the path.
+  frame = KeyedSubscribeFrame();
+  const std::vector<uint8_t> keyed = {
+      // subscription 17, kind kCountSummary, flags 3, 2 pad bytes
+      17, 0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0,
+      // link (3, *), k 0, bin width 10000
+      3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0x10, 0x27, 0, 0, 0, 0, 0,
+      0,
+      // range [100, 900)
+      100, 0, 0, 0, 0, 0, 0, 0, 0x84, 0x03, 0, 0, 0, 0, 0, 0,
+      // flow (1, 2, 10, 80, tcp)
+      1, 0, 0, 0, 2, 0, 0, 0, 10, 0, 80, 0, 6,
+      // path of 3 switches: 3, 4, 5
+      3, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0};
+  EXPECT_EQ(std::vector<uint8_t>(frame.begin() + kFrameHeaderBytes, frame.end()), keyed);
+}
+
+TEST(WireAdversarial, KeyedSubscribeRoundTripsAndMalformedSpecsAreRejected) {
+  DecodedFrame out;
+  // Each optional field alone and both together round-trip.
+  StandingQuerySpec flow_only = KeyedSpec();
+  flow_only.path.reset();
+  StandingQuerySpec path_only = KeyedSpec();
+  path_only.flow.reset();
+  for (const StandingQuerySpec& spec : {KeyedSpec(), flow_only, path_only}) {
+    std::vector<uint8_t> f;
+    transport::EncodeSubscribeFrame(17, spec, f);
+    ASSERT_EQ(DecodeFrame(f.data(), f.size(), &out), WireError::kOk);
+    EXPECT_EQ(out.spec, spec);
+  }
+
+  // Offsets into the keyed payload: flags at 9, the path length after
+  // the 52 fixed bytes and the 13-byte tuple.
+  const size_t flags_at = kFrameHeaderBytes + 9;
+  const size_t path_len_at = kFrameHeaderBytes + 52 + 13;
+  const std::vector<uint8_t> base = KeyedSubscribeFrame();
+  auto decode_tampered = [&](size_t at, uint8_t value) {
+    std::vector<uint8_t> f = base;
+    f[at] = value;
+    RestampCrc(f);
+    return DecodeFrame(f.data(), f.size(), &out);
+  };
+  // Unknown flag bits.
+  EXPECT_EQ(decode_tampered(flags_at, 0x07), WireError::kBadPayload);
+  EXPECT_EQ(decode_tampered(flags_at, 0x83), WireError::kBadPayload);
+  // A path longer than CompactPath::kMaxSwitches.
+  EXPECT_EQ(decode_tampered(path_len_at, CompactPath::kMaxSwitches + 1), WireError::kBadPayload);
+  // The path flag cleared: the path becomes trailing bytes.
+  EXPECT_EQ(decode_tampered(flags_at, 0x01), WireError::kBadPayload);
+  {  // The path flag set on a flow-only spec: the path is missing.
+    std::vector<uint8_t> f;
+    transport::EncodeSubscribeFrame(17, flow_only, f);
+    f[flags_at] = 0x03;
+    RestampCrc(f);
+    EXPECT_EQ(DecodeFrame(f.data(), f.size(), &out), WireError::kBadPayload);
+  }
+  {  // A version-2 frame is refused, not misparsed.
+    std::vector<uint8_t> f = base;
+    f[4] = 2;
+    RestampCrc(f);
+    EXPECT_EQ(DecodeFrame(f.data(), f.size(), &out), WireError::kBadVersion);
+  }
+}
+
+TEST(WireAdversarial, NonzeroReservedAndPadBytesAreRejected) {
+  // One valid frame of every type, with the payload offsets of its pad
+  // bytes; byte 6 and 7 of every header are the reserved u16.
+  std::vector<std::pair<std::vector<uint8_t>, std::vector<size_t>>> frames(11);
+  transport::EncodeHelloFrame(9, 4321, 7, frames[0].first);
+  transport::EncodeQueryDeltaFrame(MakeWireDelta(Kind::kTopK), frames[1].first);
+  frames[1].second = {13, 14, 15};
+  Alarm alarm;
+  alarm.paths = {{1, 2, 3}};
+  transport::EncodeAlarmFrame(alarm, frames[2].first);
+  frames[3].first = KeyedSubscribeFrame();
+  frames[3].second = {10, 11};
+  transport::EncodeEpochTickFrame(5, frames[4].first);
+  transport::EncodeAckFrame(5, 99, frames[5].first);
+  frames[5].second = {4, 5, 6, 7};
+  transport::EncodeIngestFrame(1000, 0xA1, 2048, 24, frames[6].first);
+  transport::EncodeShutdownFrame(frames[7].first);
+  transport::EncodeByeFrame(13, frames[8].first);
+  transport::EncodeResyncRequestFrame(3, frames[9].first);
+  QueryDelta snapshot = MakeWireDelta(Kind::kFlowList);
+  snapshot.snapshot = true;
+  transport::EncodeSnapshotFrame(snapshot, frames[10].first);
+  frames[10].second = {13, 14, 15};
+
+  for (const auto& [base, pads] : frames) {
+    DecodedFrame out;
+    ASSERT_EQ(DecodeFrame(base.data(), base.size(), &out), WireError::kOk);
+    const int type = int(base[5]);
+    std::vector<size_t> offsets = {6, 7};
+    for (size_t pad : pads) {
+      offsets.push_back(kFrameHeaderBytes + pad);
+    }
+    for (size_t at : offsets) {
+      std::vector<uint8_t> f = base;
+      f[at] = 0x01;
+      RestampCrc(f);
+      EXPECT_EQ(DecodeFrame(f.data(), f.size(), &out), WireError::kBadPayload)
+          << "frame type " << type << ", byte " << at;
+    }
+  }
 }
 
 TEST(WireAdversarial, NonCanonicalDeltaPayloadsAreRejected) {
@@ -752,13 +932,15 @@ TEST(WireAdversarial, SnapshotFramesRoundTripAndAllowEmpty) {
 }
 
 TEST(WireAdversarial, TruncationAtEveryPrefixIsRejected) {
-  std::vector<uint8_t> frame;
-  transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kFlowList), frame);
-  ASSERT_GT(frame.size(), kFrameHeaderBytes);
-  for (size_t len = 0; len < frame.size(); ++len) {
-    DecodedFrame out;
-    const WireError err = DecodeFrame(frame.data(), len, &out);
-    EXPECT_EQ(err, WireError::kTruncated) << "prefix " << len;
+  std::vector<uint8_t> delta;
+  transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kFlowList), delta);
+  for (const std::vector<uint8_t>& frame : {delta, KeyedSubscribeFrame()}) {
+    ASSERT_GT(frame.size(), kFrameHeaderBytes);
+    for (size_t len = 0; len < frame.size(); ++len) {
+      DecodedFrame out;
+      const WireError err = DecodeFrame(frame.data(), len, &out);
+      EXPECT_EQ(err, WireError::kTruncated) << "type " << int(frame[5]) << ", prefix " << len;
+    }
   }
 }
 
@@ -840,14 +1022,17 @@ TEST(WireAdversarial, EverySingleBitFlipIsDetected) {
   // CRC-32 detects all single-bit errors deterministically, so this is
   // an exhaustive guarantee, not a sample: flip each bit of the frame
   // in turn and every mutant must be rejected with a counted category.
-  std::vector<uint8_t> base;
-  transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kCountSummary), base);
-  for (size_t bit = 0; bit < base.size() * 8; ++bit) {
-    std::vector<uint8_t> f = base;
-    f[bit / 8] ^= uint8_t(1u << (bit % 8));
-    DecodedFrame out;
-    const WireError err = DecodeFrame(f.data(), f.size(), &out);
-    EXPECT_NE(err, WireError::kOk) << "bit " << bit << " slipped through";
+  std::vector<uint8_t> delta;
+  transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kCountSummary), delta);
+  for (const std::vector<uint8_t>& base : {delta, KeyedSubscribeFrame()}) {
+    for (size_t bit = 0; bit < base.size() * 8; ++bit) {
+      std::vector<uint8_t> f = base;
+      f[bit / 8] ^= uint8_t(1u << (bit % 8));
+      DecodedFrame out;
+      const WireError err = DecodeFrame(f.data(), f.size(), &out);
+      EXPECT_NE(err, WireError::kOk)
+          << "type " << int(base[5]) << ", bit " << bit << " slipped through";
+    }
   }
 }
 
@@ -855,11 +1040,14 @@ TEST(WireAdversarial, SeededFuzzRejectsRandomCorruption) {
   // Beyond single bits: seeded random burst corruption (offset, width,
   // value all drawn from the PCG stream) must always come back as an
   // error and never crash.  Deterministic seed -> reproducible failures.
-  std::vector<uint8_t> base;
-  transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kFlowList), base);
+  std::vector<uint8_t> delta;
+  transport::EncodeQueryDeltaFrame(MakeWireDelta(StandingQuerySpec::Kind::kFlowList), delta);
+  const std::vector<uint8_t> subscribe = KeyedSubscribeFrame();
   Rng rng(0xF00DFACE);
   int rejected = 0;
   for (int iter = 0; iter < 4000; ++iter) {
+    // Even iterations corrupt the delta, odd ones the keyed subscribe.
+    const std::vector<uint8_t>& base = iter % 2 == 0 ? delta : subscribe;
     std::vector<uint8_t> f = base;
     const size_t burst = 1 + rng.UniformInt(8);
     for (size_t b = 0; b < burst; ++b) {

@@ -5,7 +5,7 @@
 //     TIB contents, across the {1, 4, 16} shards x {1, 4, 16} workers
 //     matrix — through the named polls (also with a bounded time range
 //     and non-default parameters) and through EdgeAgent::Poll for
-//     half-wildcard links.
+//     half-wildcard links and flow-keyed specs.
 //  2. Concurrency — epoch ticks racing Tib::Insert are safe (run under
 //     ThreadSanitizer in CI) and the post-race materialization matches
 //     a fresh poll.
@@ -161,6 +161,27 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
       extras.emplace_back(spec, testutil::PollOf(spec));
     }
   }
+  // Flow-keyed shapes (getPaths, getCount): agent 0's first flow, reused
+  // by every 997th of its records across all epochs, every other one of
+  // those on the first record's path.  A FlowList keyed to it under a
+  // half-wildcard link its first path passes, and a CountSummary keyed
+  // to it with that exact path.
+  const FiveTuple key = records[0][0].flow;
+  const CompactPath key_path = records[0][0].path;
+  for (size_t i = 997; i < records[0].size(); i += 997) {
+    records[0][i].flow = key;
+    if (i % 1994 == 0) {
+      records[0][i].path = key_path;
+    }
+  }
+  const StandingQuerySpec keyed_list{.kind = StandingQuerySpec::Kind::kFlowList,
+                                     .link = LinkId{kInvalidNode, key_path.sw[1]},
+                                     .flow = key};
+  const StandingQuerySpec keyed_count{
+      .kind = StandingQuerySpec::Kind::kCountSummary, .flow = key, .path = key_path};
+  for (const StandingQuerySpec& spec : {keyed_list, keyed_count}) {
+    extras.emplace_back(spec, testutil::PollOf(spec));
+  }
 
   for (size_t shards : {size_t(1), size_t(4), size_t(16)}) {
     Testbed tb(kAgents, shards);
@@ -217,7 +238,7 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
           auto [poll, stats] = tb.controller.Execute(tb.hosts, extras[i].second);
           EXPECT_EQ(manager.Materialize(extra_subs[i]), poll)
               << shards << " shards, " << workers << " workers, epoch " << epoch
-              << ", filter set " << i / kSpecs.size() << ", kind " << i % kSpecs.size();
+              << ", extra spec " << i;
         }
         for (auto& agent : tb.agents) {
           agent->SetQueryThreadPool(nullptr);
@@ -233,6 +254,11 @@ TEST(StandingQueryDeterminism, MatchesPollAcrossShardWorkerMatrix) {
     EXPECT_EQ(info.pending_gaps, 0u);
     EXPECT_GT(manager.info(list_sub).delta_bytes, 0u);
     EXPECT_GT(manager.info(count_sub).deltas_folded, 0u);
+    // The keyed shapes matched more than the one record they were
+    // picked from.
+    EXPECT_GE(std::get<FlowList>(tb.agents[0]->Poll(keyed_list)).flows.size(), 2u);
+    EXPECT_GT(std::get<CountSummary>(tb.agents[0]->Poll(keyed_count)).pkts,
+              uint64_t(records[0][0].pkts));
   }
 }
 

@@ -444,7 +444,7 @@ TEST(TibEvictionConcurrency, EvictionRacesScansInsertsAndTakeDelta) {
       Rng rng(seed ^ 0x5CA11);
       while (!done.load(std::memory_order_acquire)) {
         (void)agent.Poll(kSpecs[1]);
-        (void)agent.tib().RecordsOnLink(kProbeLink, TimeRange::All());
+        (void)agent.Poll(kSpecs[2]);
         (void)agent.tib().record(rng.UniformInt(uint32_t(kPreload + 2 * kPerWriter)));
         const TibRecord& probe = records[rng.UniformInt(uint32_t(records.size()))];
         (void)agent.tib().RecordsOfFlow(probe.flow, TimeRange::All());

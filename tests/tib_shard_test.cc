@@ -1,8 +1,9 @@
 // Sharded-TIB contract tests (the PR 3 tentpole):
 //
-//  1. Determinism — TopK, FlowSizeDistribution, RecordsOnLink, and
-//     RecordsOfFlow return byte-identical results across {1, 4, 16}
-//     shards x {1, 4, 16} scan workers at the paper's 240 K records/host.
+//  1. Determinism — TopK, FlowSizeDistribution, the FlowList poll (in
+//     ascending first-id order) and RecordsOfFlow return byte-identical
+//     results across {1, 4, 16} shards x {1, 4, 16} scan workers at the
+//     paper's 240 K records/host.
 //  2. Concurrency — inserts racing shard-parallel scans are safe (run
 //     under ThreadSanitizer in CI) and the post-race state matches a
 //     sequentially built reference.
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -92,7 +94,7 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
 
   TopKFlows base_topk;
   FlowSizeHistogram base_dist;
-  std::vector<size_t> base_on_link, base_into;
+  QueryResult base_on_link, base_into;
   std::vector<std::vector<size_t>> base_of_flow;
   bool have_base = false;
 
@@ -112,8 +114,10 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
 
       TopKFlows topk = agent.TopK(1000, TimeRange::All());
       FlowSizeHistogram dist = agent.FlowSizeDistribution(probe, mid, 10000);
-      std::vector<size_t> on_link = agent.tib().RecordsOnLink(probe, TimeRange::All());
-      std::vector<size_t> into_link = agent.tib().RecordsOnLink(into, mid);
+      QueryResult on_link =
+          agent.Poll({.kind = StandingQuerySpec::Kind::kFlowList, .link = probe});
+      QueryResult into_link =
+          agent.Poll({.kind = StandingQuerySpec::Kind::kFlowList, .link = into, .range = mid});
       std::vector<std::vector<size_t>> of_flow;
       for (const FiveTuple& f : sample_flows) {
         of_flow.push_back(agent.tib().RecordsOfFlow(f, mid));
@@ -128,7 +132,7 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
         base_of_flow = of_flow;
         have_base = true;
         EXPECT_EQ(base_topk.items.size(), 1000u);
-        EXPECT_FALSE(base_on_link.empty());
+        EXPECT_FALSE(std::get<FlowList>(base_on_link).flows.empty());
         continue;
       }
       EXPECT_EQ(topk, base_topk) << shards << " shards, " << workers << " workers";
@@ -209,6 +213,9 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   // a total order.
   const StandingQuerySpec probe_totals{.kind = StandingQuerySpec::Kind::kTopK, .link = probe};
   const StandingQuerySpec all_totals{.kind = StandingQuerySpec::Kind::kTopK};
+  const StandingQuerySpec probe_list{.kind = StandingQuerySpec::Kind::kFlowList, .link = probe};
+  const StandingQuerySpec probe_count{.kind = StandingQuerySpec::Kind::kCountSummary,
+                                      .link = probe};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
@@ -218,16 +225,14 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
       }
     });
   }
+  // Each reader keeps its last FlowList poll, checked for order below.
+  std::vector<FlowList> last_lists(2);
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, r] {
       while (!done.load(std::memory_order_acquire)) {
         QueryResult totals = PollTib(tib, probe_totals);
-        std::vector<size_t> ids = tib.RecordsOnLink(probe, TimeRange::All());
-        // Ids are a monotone merge of per-shard ascending columns.
-        for (size_t i = 1; i < ids.size(); ++i) {
-          ASSERT_LT(ids[i - 1], ids[i]);
-        }
+        last_lists[size_t(r)] = std::get<FlowList>(PollTib(tib, probe_list));
         ASSERT_LE(std::get<TopKFlows>(totals).items.size(), tib.size());
         scans.fetch_add(1, std::memory_order_relaxed);
       }
@@ -255,8 +260,32 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   }
   EXPECT_EQ(PollTib(tib, probe_totals), PollTib(ref, probe_totals));
   EXPECT_EQ(PollTib(tib, all_totals), PollTib(ref, all_totals));
-  EXPECT_EQ(tib.RecordsOnLink(probe, TimeRange::All()).size(),
-            ref.RecordsOnLink(probe, TimeRange::All()).size());
+  EXPECT_EQ(PollTib(tib, probe_count), PollTib(ref, probe_count));
+  EXPECT_EQ(std::get<FlowList>(PollTib(tib, probe_list)).flows.size(),
+            std::get<FlowList>(PollTib(ref, probe_list)).flows.size());
+
+  // A FlowList taken mid-race lists its (flow, path) pairs in ascending
+  // first id: the order is a monotone merge of per-shard ascending
+  // columns.  A pair's first id never changes once inserted, so it is
+  // read back from the final TIB.
+  for (const FlowList& list : last_lists) {
+    uint64_t prev = 0;
+    for (size_t i = 0; i < list.flows.size(); ++i) {
+      const Flow& f = list.flows[i];
+      const CompactPath path = CompactPath::FromPath(f.path);
+      std::optional<uint64_t> first;
+      tib.ForEachRecordOfFlow(f.id, TimeRange::All(), [&](size_t id, const TibRecord& rec) {
+        if (!first && rec.path == path) {
+          first = id;
+        }
+      });
+      ASSERT_TRUE(first.has_value()) << "item " << i;
+      if (i > 0) {
+        ASSERT_LT(prev, *first) << "item " << i;
+      }
+      prev = *first;
+    }
+  }
 }
 
 // --- 3. Persistence across shard counts ---
@@ -308,8 +337,8 @@ TEST(TibShardPersistence, RoundTripsAcrossMismatchedShardCounts) {
 
   // Queries agree after the double hop.
   LinkId probe{3, 7};
-  EXPECT_EQ(wide.RecordsOnLink(probe, TimeRange::All()),
-            saved.RecordsOnLink(probe, TimeRange::All()));
+  const StandingQuerySpec probe_list{.kind = StandingQuerySpec::Kind::kFlowList, .link = probe};
+  EXPECT_EQ(PollTib(wide, probe_list), PollTib(saved, probe_list));
   const FiveTuple& f = records[17].flow;
   EXPECT_EQ(wide.RecordsOfFlow(f, TimeRange::All()), saved.RecordsOfFlow(f, TimeRange::All()));
   std::remove(path.c_str());

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -49,6 +50,7 @@ namespace pathdump {
 namespace {
 
 using testutil::FleetShmPrefix;
+using testutil::kFleetRecords;
 using testutil::ShmAgentThread;
 using testutil::ShmFleet;
 using transport::PeerState;
@@ -272,11 +274,27 @@ TEST(TransportDeterminism, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
 
   for (size_t shards : {size_t(1), size_t(4), size_t(16)}) {
     ShmFleet tb({.num_agents = kAgents, .shards = shards});
-    const std::vector<uint64_t> subs = tb.SubscribeAll(kSpecs);
+    // Beyond the four kinds, the flow-keyed shapes, which only match if
+    // the kSubscribe codec carries the key and the path: a FlowList
+    // keyed to the first flow agent 0 ingests, under a half-wildcard
+    // link its path passes, and a CountSummary keyed to that flow and
+    // exact path.
+    const auto seed = [shards](int epoch) {
+      return 0xA100u * uint32_t(epoch + 1) + uint32_t(shards);
+    };
+    const TibRecord first =
+        MakeSyntheticRecords(1, seed(0) + uint32_t(tb.twins[0]->host()), kFleetRecords)[0];
+    std::vector<StandingQuerySpec> specs = kSpecs;
+    specs.push_back({.kind = StandingQuerySpec::Kind::kFlowList,
+                     .link = LinkId{kInvalidNode, first.path.sw[1]},
+                     .flow = first.flow});
+    specs.push_back(
+        {.kind = StandingQuerySpec::Kind::kCountSummary, .flow = first.flow, .path = first.path});
+    const std::vector<uint64_t> subs = tb.SubscribeAll(specs);
     const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
 
     for (int epoch = 0; epoch < kEpochs; ++epoch) {
-      tb.Ingest(uint32_t(kPerEpoch), 0xA100u * uint32_t(epoch + 1) + uint32_t(shards));
+      tb.Ingest(uint32_t(kPerEpoch), seed(epoch));
       tb.Epoch();
       if (::testing::Test::HasFatalFailure()) {
         return;
@@ -290,7 +308,7 @@ TEST(TransportDeterminism, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
         for (auto& twin : tb.twins) {
           twin->SetQueryThreadPool(workers > 1 ? &scan_pool : nullptr);
         }
-        tb.ExpectPollIdentity(kSpecs, subs,
+        tb.ExpectPollIdentity(specs, subs,
                               std::to_string(shards) + " shards, " + std::to_string(workers) +
                                   " workers, epoch " + std::to_string(epoch));
         for (auto& twin : tb.twins) {
@@ -335,6 +353,10 @@ TEST(TransportDeterminism, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
     // Folded deltas arrived via the rings, not via any in-process
     // attachment.
     EXPECT_GE(tb.manager.stats().deltas_folded, uint64_t(kEpochs));
+    // The keyed subscriptions saw their record.
+    EXPECT_EQ(std::get<FlowList>(tb.manager.Materialize(subs[kSpecs.size()])).flows.size(), 1u);
+    EXPECT_EQ(std::get<CountSummary>(tb.manager.Materialize(subs[kSpecs.size() + 1])),
+              (CountSummary{first.bytes, first.pkts}));
   }
 }
 
@@ -514,6 +536,50 @@ TEST(TransportHubErrors, SequenceGapsSurfaceInStats) {
   TransportStats st = hub.stats();
   EXPECT_EQ(st.seq_gaps, 5u);
   EXPECT_EQ(st.decode_errors, 0u);
+}
+
+TEST(TransportHubErrors, StatsReadsRaceTheReactorsGapCounting) {
+  // Dropped frames make the reactor bump a data ring's gap counter in
+  // Pop while this test's reader thread sums the same counters through
+  // stats(), as an operator's dashboard would.  The counters are read
+  // from API threads by design, so this must be race-free (the binary
+  // runs under ThreadSanitizer), and the reads must stay cumulative.
+  transport::FaultInjectorConfig drop;
+  drop.seed = 0x5747;
+  drop.drop_per_10k = 2500;
+  SubscriptionManagerOptions mopts;
+  mopts.gap_resync_threshold = 1;
+  ShmFleet tb({.num_agents = 3, .manager = mopts, .fault = drop});
+  const std::vector<uint64_t> subs = tb.SubscribeAll(kSpecs);
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t gaps = tb.hub.stats().seq_gaps;
+      EXPECT_GE(gaps, last);
+      last = gaps;
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    tb.Ingest(400, 0x5700u + uint32_t(epoch));
+    tb.Epoch();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  ASSERT_TRUE(tb.Quiesce(subs, 20'000'000));
+  tb.ExpectPollIdentity(kSpecs, subs, "after the race");
+
+  const MetricsSnapshot md = MetricsRegistry::Global().Snapshot().Diff(before);
+  auto it = md.counters.find("fault.injected_drop");
+  const uint64_t drops = it == md.counters.end() ? 0 : it->second;
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(tb.hub.stats().seq_gaps, drops);
+  EXPECT_GT(reads.load(), 0u);
 }
 
 // --- 7. The agent loop ---
