@@ -189,6 +189,7 @@ std::vector<Path> EdgeAgent::GetPaths(const FiveTuple& flow, const LinkId& link,
   QueryResult list = Poll(
       {.kind = StandingQuerySpec::Kind::kFlowList, .link = link, .range = range, .flow = flow});
   std::vector<Path> out;
+  out.reserve(std::get<FlowList>(list).flows.size());
   for (Flow& f : std::get<FlowList>(list).flows) {
     out.push_back(std::move(f.path));
   }

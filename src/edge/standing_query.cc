@@ -133,16 +133,15 @@ QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec) {
       state.Add(spec, id, rec);
     }
   };
-  std::vector<FoldState> shards;
   if (spec.flow) {
-    shards.resize(1);
-    tib.ForEachRecordOfFlow(*spec.flow, spec.range, [&](size_t id, const TibRecord& rec) {
-      fold(shards[0], id, rec);
-    });
-  } else {
-    shards = tib.CollectShardPartials<FoldState>(fold);
+    // One flow lives in one shard: nothing to merge.
+    FoldState state;
+    tib.ForEachRecordOfFlow(*spec.flow, spec.range,
+                            [&](size_t id, const TibRecord& rec) { fold(state, id, rec); });
+    return MaterializeStandingResult(spec, state);
   }
-  return MaterializeStandingResult(spec, FoldState::MergeShards(shards));
+  return MaterializeStandingResult(
+      spec, FoldState::MergeShards(tib.CollectShardPartials<FoldState>(fold)));
 }
 
 StandingQueryAccumulator::StandingQueryAccumulator(uint64_t subscription_id, HostId host,

@@ -22,9 +22,9 @@
 //     FoldState ──▶ controller FoldState::Merge ──▶ materialize
 //     (src/controller/subscription.h).
 //   poll: PollTib ──(shard-parallel scan under shared shard locks, every
-//     retained record filtered + folded; a flow-keyed spec walks only
-//     its flow's records in its one shard)──▶ per-shard FoldStates
-//     ──(MergeShards)──▶ materialize.
+//     retained record filtered + folded)──▶ per-shard FoldStates
+//     ──(MergeShards)──▶ materialize; a flow-keyed spec folds only its
+//     flow's records, in its one shard, into one FoldState.
 //
 // One state type sits between filter and materialize everywhere: the
 // poll scan's per-shard state, the accumulator's per-shard partial, the
@@ -343,8 +343,8 @@ struct QueryDelta {
 // per-shard states are key-disjoint and merge by concatenation or
 // summation (FoldState::MergeShards) before the shared materialize.
 // A flow-keyed spec folds only that flow's records, in id order, under
-// its one shard's shared lock (Tib::ForEachRecordOfFlow), with no scan
-// task.  Byte-identical at any shard and worker count, and to a
+// its one shard's shared lock (Tib::ForEachRecordOfFlow), into one
+// state with no scan task and no merge.  Byte-identical at any shard and worker count, and to a
 // subscription's materialized result over the same records.
 QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec);
 

@@ -90,17 +90,6 @@ ShmSpscRing ShmSpscRing::CreateAt(void* mem, size_t slot_bytes, size_t slot_coun
   return ring;
 }
 
-ShmSpscRing& ShmSpscRing::operator=(const ShmSpscRing& other) {
-  ctl_ = other.ctl_;
-  slots_ = other.slots_;
-  expected_seq_ = other.expected_seq_;
-  popped_ = other.popped_;
-  seq_primed_ = other.seq_primed_;
-  seq_gaps_.store(other.seq_gaps(), std::memory_order_relaxed);
-  corrupt_.store(other.corrupt(), std::memory_order_relaxed);
-  return *this;
-}
-
 ShmSpscRing ShmSpscRing::ViewAt(void* mem) {
   ShmSpscRing ring;
   auto* ctl = static_cast<RingControl*>(mem);
@@ -194,7 +183,7 @@ bool ShmSpscRing::Pop(std::vector<uint8_t>& out, uint64_t* seq_out) {
   if (len > max_message_bytes() || k > head - tail) {
     // A length no valid producer can have written: the ring is
     // desynchronized (shm corruption).  Poison rather than guess.
-    corrupt_.store(true, std::memory_order_relaxed);
+    corrupt_.store(true);
     return false;
   }
   out.resize(len);
@@ -203,7 +192,7 @@ bool ShmSpscRing::Pop(std::vector<uint8_t>& out, uint64_t* seq_out) {
   WakeWord(ctl_->space_doorbell);
   if (seq_primed_ && seq > expected_seq_) {
     // Single writer: a load and a store, no read-modify-write needed.
-    seq_gaps_.store(seq_gaps() + seq - expected_seq_, std::memory_order_relaxed);
+    seq_gaps_.store(seq_gaps() + seq - expected_seq_);
   }
   expected_seq_ = seq + 1;
   seq_primed_ = true;

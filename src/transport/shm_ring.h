@@ -69,16 +69,31 @@ struct RingControl {
   alignas(64) std::atomic<uint32_t> space_doorbell{0};  // bumped on pop
 };
 
+// A standalone value with one writer thread and any number of reader
+// threads: a relaxed atomic that still copies like a plain value, so a
+// class holding one keeps its default copy operations.  Copies are made
+// before the value is shared with other threads.
+template <typename T>
+class RelaxedValue {
+ public:
+  RelaxedValue() = default;
+  RelaxedValue(const RelaxedValue& other) : v_(other.load()) {}
+  RelaxedValue& operator=(const RelaxedValue& other) {
+    store(other.load());
+    return *this;
+  }
+  T load() const { return v_.load(std::memory_order_relaxed); }
+  void store(T v) { v_.store(v, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<T> v_{};
+};
+
 // Non-owning producer/consumer view over a ring in (shared) memory.
 // Exactly one producer and one consumer may use a given ring at a time;
 // they may be different processes.
 class ShmSpscRing {
  public:
-  ShmSpscRing() = default;
-  // A view copies its consumer state; copies are made before the view is
-  // shared with other threads.
-  ShmSpscRing(const ShmSpscRing& other) { *this = other; }
-  ShmSpscRing& operator=(const ShmSpscRing& other);
 
   // Bytes a ring with this geometry occupies (control block + slots).
   static size_t BytesFor(size_t slot_bytes, size_t slot_count);
@@ -135,12 +150,12 @@ class ShmSpscRing {
   }
   bool closed() const { return ctl_->closed.load(std::memory_order_acquire) != 0; }
   // Safe from any thread (see seq_gaps_).
-  bool corrupt() const { return corrupt_.load(std::memory_order_relaxed); }
+  bool corrupt() const { return corrupt_.load(); }
 
   // Consumer-side sequence accounting (valid on the consuming view).
   uint64_t messages_popped() const { return popped_; }
   // Messages missing, cumulative.  Safe from any thread.
-  uint64_t seq_gaps() const { return seq_gaps_.load(std::memory_order_relaxed); }
+  uint64_t seq_gaps() const { return seq_gaps_.load(); }
   uint64_t blocked_pushes() const { return ctl_->blocked_pushes.load(std::memory_order_relaxed); }
   // Messages published but not yet consumed (snapshot).
   uint64_t backlog_slots() const {
@@ -165,8 +180,8 @@ class ShmSpscRing {
   // any thread may read (the hub's stats(), RestartPeer and Flush run on
   // API threads while the reactor pops): relaxed atomics, since each is
   // a standalone counter or flag that orders nothing else.
-  std::atomic<uint64_t> seq_gaps_{0};
-  std::atomic<bool> corrupt_{false};
+  RelaxedValue<uint64_t> seq_gaps_;
+  RelaxedValue<bool> corrupt_;
 };
 
 // A named POSIX shared-memory segment holding one agent's channel pair:

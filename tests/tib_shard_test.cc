@@ -225,15 +225,36 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
       }
     });
   }
-  // Each reader keeps its last FlowList poll, checked for order below.
-  std::vector<FlowList> last_lists(2);
+  // A FlowList taken mid-race lists its (flow, path) pairs in ascending
+  // first id: the order is a monotone merge of per-shard ascending
+  // columns.  Every list is checked while the inserts race.  A listed
+  // pair's first record is already stored and later inserts only take
+  // larger ids, so its first id can be looked up mid-race.
+  auto expect_ascending_first_ids = [&tib](const FlowList& list) {
+    uint64_t prev = 0;
+    for (size_t i = 0; i < list.flows.size(); ++i) {
+      const Flow& f = list.flows[i];
+      const CompactPath path = CompactPath::FromPath(f.path);
+      std::optional<uint64_t> first;
+      tib.ForEachRecordOfFlow(f.id, TimeRange::All(), [&](size_t id, const TibRecord& rec) {
+        if (!first && rec.path == path) {
+          first = id;
+        }
+      });
+      ASSERT_TRUE(first.has_value()) << "item " << i;
+      if (i > 0) {
+        ASSERT_LT(prev, *first) << "item " << i;
+      }
+      prev = *first;
+    }
+  };
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
+    readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
         QueryResult totals = PollTib(tib, probe_totals);
-        last_lists[size_t(r)] = std::get<FlowList>(PollTib(tib, probe_list));
         ASSERT_LE(std::get<TopKFlows>(totals).items.size(), tib.size());
+        expect_ascending_first_ids(std::get<FlowList>(PollTib(tib, probe_list)));
         scans.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -263,29 +284,6 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   EXPECT_EQ(PollTib(tib, probe_count), PollTib(ref, probe_count));
   EXPECT_EQ(std::get<FlowList>(PollTib(tib, probe_list)).flows.size(),
             std::get<FlowList>(PollTib(ref, probe_list)).flows.size());
-
-  // A FlowList taken mid-race lists its (flow, path) pairs in ascending
-  // first id: the order is a monotone merge of per-shard ascending
-  // columns.  A pair's first id never changes once inserted, so it is
-  // read back from the final TIB.
-  for (const FlowList& list : last_lists) {
-    uint64_t prev = 0;
-    for (size_t i = 0; i < list.flows.size(); ++i) {
-      const Flow& f = list.flows[i];
-      const CompactPath path = CompactPath::FromPath(f.path);
-      std::optional<uint64_t> first;
-      tib.ForEachRecordOfFlow(f.id, TimeRange::All(), [&](size_t id, const TibRecord& rec) {
-        if (!first && rec.path == path) {
-          first = id;
-        }
-      });
-      ASSERT_TRUE(first.has_value()) << "item " << i;
-      if (i > 0) {
-        ASSERT_LT(prev, *first) << "item " << i;
-      }
-      prev = *first;
-    }
-  }
 }
 
 // --- 3. Persistence across shard counts ---
