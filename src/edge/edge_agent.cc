@@ -189,7 +189,6 @@ std::vector<Path> EdgeAgent::GetPaths(const FiveTuple& flow, const LinkId& link,
   QueryResult list = Poll(
       {.kind = StandingQuerySpec::Kind::kFlowList, .link = link, .range = range, .flow = flow});
   std::vector<Path> out;
-  out.reserve(std::get<FlowList>(list).flows.size());
   for (Flow& f : std::get<FlowList>(list).flows) {
     out.push_back(std::move(f.path));
   }
@@ -213,9 +212,8 @@ std::vector<Path> EdgeAgent::GetPathsLive(const FiveTuple& flow, const LinkId& l
     }
     // Exact dedup against the few paths of this one flow found so far.
     const CompactPath cp = CompactPath::FromPath(*path);
-    if (cp.MatchesLinkQuery(link) &&
-        std::none_of(out.begin(), out.end(),
-                     [&cp](const Path& p) { return CompactPath::FromPath(p) == cp; })) {
+    auto same = [&cp](const Path& p) { return CompactPath::FromPath(p) == cp; };
+    if (cp.MatchesLinkQuery(link) && std::none_of(out.begin(), out.end(), same)) {
       out.push_back(std::move(*path));
     }
   }
@@ -240,9 +238,12 @@ CountSummary EdgeAgent::GetCount(const Flow& flow, const TimeRange& range) const
 SimTime EdgeAgent::GetDuration(const Flow& flow, const TimeRange& range) const {
   SimTime lo = kSimTimeMax;
   SimTime hi = -1;
-  const StandingQuerySpec spec = FlowSpec(flow, range);
+  // As in a flow-keyed poll, the walk keys by flow and the filter leaves
+  // the key out.
+  StandingQuerySpec filter = FlowSpec(flow, range);
+  filter.flow.reset();
   tib_.ForEachRecordOfFlow(flow.id, range, [&](size_t, const TibRecord& rec) {
-    if (spec.Matches(rec)) {
+    if (filter.Matches(rec)) {
       lo = std::min(lo, rec.stime);
       hi = std::max(hi, rec.etime);
     }

@@ -128,9 +128,14 @@ QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FoldS
 }
 
 QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec) {
-  auto fold = [&spec](FoldState& state, uint64_t id, const TibRecord& rec) {
-    if (spec.Matches(rec)) {
-      state.Add(spec, id, rec);
+  // A flow-keyed walk yields only the key's records, so the per-record
+  // filter leaves the key out: checking it would read each record's
+  // 5-tuple, a cache line that a count fold never touches otherwise.
+  StandingQuerySpec filter = spec;
+  filter.flow.reset();
+  auto fold = [&filter](FoldState& state, uint64_t id, const TibRecord& rec) {
+    if (filter.Matches(rec)) {
+      state.Add(filter, id, rec);
     }
   };
   if (spec.flow) {
