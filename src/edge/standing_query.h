@@ -344,8 +344,9 @@ struct QueryDelta {
 // summation (FoldState::MergeShards) before the shared materialize.
 // A flow-keyed spec folds only that flow's records, in id order, under
 // its one shard's shared lock (Tib::ForEachRecordOfFlow), into one
-// state with no scan task and no merge.  Byte-identical at any shard and worker count, and to a
-// subscription's materialized result over the same records.
+// state with no scan task and no merge.  Byte-identical at any shard
+// and worker count, and to a subscription's materialized result over
+// the same records.
 QueryResult PollTib(const Tib& tib, const StandingQuerySpec& spec);
 
 // The per-agent accumulator: one FoldState partial per TIB shard,
